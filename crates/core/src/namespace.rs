@@ -8,18 +8,26 @@
 //! each name was last touched. Cache layers snapshot the generation when
 //! they derive something and later ask [`Namespace::any_touched_since`]
 //! whether any of the paths they depended on changed — so defining an
-//! unrelated name never invalidates them.
+//! unrelated name never invalidates them. The question costs O(1) while
+//! nothing at all has been bound since the snapshot, and never allocates
+//! for canonically spelled paths.
+//!
+//! Each meta-object's reply-cache key ([`Blueprint::hash`]) is computed
+//! once, when it is bound, and kept beside the entry: a warm
+//! instantiation looks up the blueprint and its key together instead of
+//! re-hashing the m-graph on every request.
 //!
 //! The namespace is internally synchronized: every method takes `&self`,
 //! so many server threads can resolve concurrently while binds
 //! serialize briefly on the write lock.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use omos_blueprint::Blueprint;
-use omos_obj::ObjectFile;
+use omos_obj::{ContentHash, ObjectFile};
 
 use crate::error::OmosError;
 
@@ -32,11 +40,20 @@ pub enum Entry {
     Meta(Arc<Blueprint>),
 }
 
+/// A bound entry plus, for a meta-object, its reply-cache key
+/// ([`Blueprint::hash`], computed at bind time). Rebinding replaces the
+/// key, binding an object over the path drops it, unbinding removes it.
+#[derive(Debug)]
+struct Bound {
+    entry: Entry,
+    reply_key: Option<ContentHash>,
+}
+
 /// Entries plus the per-path touch epochs, guarded together so a bind
 /// updates both atomically with respect to readers.
 #[derive(Debug, Default)]
 struct Tables {
-    entries: BTreeMap<String, Entry>,
+    entries: BTreeMap<String, Bound>,
     /// Generation at which each path was last bound or unbound. Paths
     /// never touched are absent (epoch 0, before any snapshot).
     touched: BTreeMap<String, u64>,
@@ -50,6 +67,19 @@ struct Tables {
 pub struct Namespace {
     tables: RwLock<Tables>,
     generation: AtomicU64,
+}
+
+/// The canonical spelling of `path`, borrowed when `path` already is
+/// canonical (leading `/`, no empty components, no trailing `/`), so the
+/// common lookup allocates nothing.
+fn canonical(path: &str) -> Cow<'_, str> {
+    let is_canonical =
+        path.starts_with('/') && (path.len() == 1 || !path.ends_with('/')) && !path.contains("//");
+    if is_canonical {
+        Cow::Borrowed(path)
+    } else {
+        Cow::Owned(normalize(path))
+    }
 }
 
 pub(crate) fn normalize(path: &str) -> String {
@@ -92,26 +122,39 @@ impl Namespace {
         g
     }
 
-    /// Binds an object fragment at `path` (replacing any existing entry).
-    pub fn bind_object(&self, path: &str, obj: ObjectFile) {
+    /// Installs `bound` at `path` and touches it.
+    fn bind(&self, path: &str, bound: Bound) {
         let p = normalize(path);
         let mut t = self
             .tables
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        t.entries.insert(p.clone(), Entry::Object(Arc::new(obj)));
+        t.entries.insert(p.clone(), bound);
         self.touch(&mut t, p);
     }
 
-    /// Binds a meta-object at `path`.
+    /// Binds an object fragment at `path` (replacing any existing entry).
+    pub fn bind_object(&self, path: &str, obj: ObjectFile) {
+        self.bind(
+            path,
+            Bound {
+                entry: Entry::Object(Arc::new(obj)),
+                reply_key: None,
+            },
+        );
+    }
+
+    /// Binds a meta-object at `path`, computing its reply-cache key
+    /// before taking the write lock.
     pub fn bind_meta(&self, path: &str, bp: Blueprint) {
-        let p = normalize(path);
-        let mut t = self
-            .tables
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        t.entries.insert(p.clone(), Entry::Meta(Arc::new(bp)));
-        self.touch(&mut t, p);
+        let reply_key = Some(bp.hash());
+        self.bind(
+            path,
+            Bound {
+                entry: Entry::Meta(Arc::new(bp)),
+                reply_key,
+            },
+        );
     }
 
     /// Parses and binds blueprint text at `path`.
@@ -139,30 +182,51 @@ impl Namespace {
     /// Looks a path up.
     #[must_use]
     pub fn lookup(&self, path: &str) -> Option<Entry> {
-        self.read().entries.get(&normalize(path)).cloned()
+        self.lookup_keyed(path).map(|(entry, _)| entry)
+    }
+
+    /// Looks a path up together with its reply-cache key: the
+    /// [`Blueprint::hash`] memoized when a meta-object was bound, `None`
+    /// for an object fragment.
+    #[must_use]
+    pub fn lookup_keyed(&self, path: &str) -> Option<(Entry, Option<ContentHash>)> {
+        self.read()
+            .entries
+            .get(canonical(path).as_ref())
+            .map(|b| (b.entry.clone(), b.reply_key))
     }
 
     /// True if `path` was bound or unbound after generation `gen`.
     #[must_use]
     pub fn touched_since(&self, path: &str, gen: u64) -> bool {
-        self.read()
-            .touched
-            .get(&normalize(path))
-            .is_some_and(|&g| g > gen)
+        self.any_touched_since([path], gen)
     }
 
     /// True if *any* of `paths` was bound or unbound after generation
-    /// `gen` — the cache-validity query (one lock acquisition for the
-    /// whole dependency set).
+    /// `gen` — the cache-validity query. O(1) when nothing was bound
+    /// since `gen` (no touch epoch exceeds the generation); otherwise
+    /// one lock acquisition for the whole dependency set, allocating
+    /// only for a path that is not canonically spelled.
     #[must_use]
-    pub fn any_touched_since<'a, I>(&self, paths: I, gen: u64) -> bool
+    pub fn any_touched_since<I>(&self, paths: I, gen: u64) -> bool
     where
-        I: IntoIterator<Item = &'a String>,
+        I: IntoIterator,
+        I::Item: AsRef<str>,
     {
+        // `touch` publishes a new epoch with a Release store of the
+        // generation after recording it, and `generation` loads with
+        // Acquire. A load that still reads `<= gen` can only miss a
+        // bind that has not returned yet, so the query orders before
+        // that bind, as it would had it taken the read lock first.
+        if self.generation() <= gen {
+            return false;
+        }
         let t = self.read();
-        paths
-            .into_iter()
-            .any(|p| t.touched.get(&normalize(p)).is_some_and(|&g| g > gen))
+        paths.into_iter().any(|p| {
+            t.touched
+                .get(canonical(p.as_ref()).as_ref())
+                .is_some_and(|&g| g > gen)
+        })
     }
 
     /// Lists the immediate children of a directory path, with a marker
@@ -193,7 +257,7 @@ impl Namespace {
                     }
                 }
                 None => {
-                    let kind = match v {
+                    let kind = match v.entry {
                         Entry::Object(_) => "obj",
                         Entry::Meta(_) => "meta",
                     };
@@ -213,7 +277,7 @@ impl Namespace {
         self.read()
             .entries
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.clone(), v.entry.clone()))
             .collect()
     }
 
@@ -284,6 +348,61 @@ mod tests {
         ns.bind_object("/lib//x.o", assemble("x", ".text\nnop\n").unwrap());
         assert!(ns.touched_since("/lib/x.o", snap));
         assert!(ns.touched_since("lib/x.o", snap));
+    }
+
+    #[test]
+    fn reply_key_is_memoized_at_bind_time() {
+        let ns = Namespace::new();
+        let key = |p: &str| ns.lookup_keyed(p).and_then(|(_, k)| k);
+        let first = Blueprint::parse("(merge /obj/a.o)").unwrap();
+        ns.bind_meta("/bin/x", first.clone());
+        assert_eq!(key("/bin/x"), Some(first.hash()));
+        // A rebind replaces the key with the new blueprint's.
+        let second = Blueprint::parse("(merge /obj/a.o /obj/b.o)").unwrap();
+        ns.bind_meta("bin//x", second.clone());
+        assert_ne!(first.hash(), second.hash());
+        assert_eq!(key("/bin/x"), Some(second.hash()));
+        // An unbind removes it; a fresh bind brings it back.
+        assert!(ns.unbind("/bin/x"));
+        assert_eq!(key("/bin/x"), None);
+        ns.bind_meta("/bin/x", first.clone());
+        assert_eq!(key("/bin/x"), Some(first.hash()));
+        // An object bound over the meta path has no reply key.
+        ns.bind_object("/bin/x", assemble("x", ".text\nnop\n").unwrap());
+        assert!(matches!(
+            ns.lookup_keyed("/bin/x"),
+            Some((Entry::Object(_), None))
+        ));
+    }
+
+    #[test]
+    fn revalidation_normalizes_on_both_sides_of_the_fast_path() {
+        let ns = Namespace::new();
+        ns.bind_object("/lib/x.o", assemble("x", ".text\nnop\n").unwrap());
+        ns.bind_object("/x", assemble("x", ".text\nnop\n").unwrap());
+        let deps = ["lib//x.o", "x/", "lib/x.o"];
+        // Nothing bound since the snapshot: the O(1) path answers.
+        let snap = ns.generation();
+        for d in deps {
+            assert!(!ns.any_touched_since([d], snap), "{d}");
+        }
+        // An unrelated bind moves the generation: the per-path check
+        // runs and still finds nothing.
+        ns.bind_object("/other.o", assemble("o", ".text\nnop\n").unwrap());
+        for d in deps {
+            assert!(!ns.any_touched_since([d], snap), "{d}");
+        }
+        // Rebinding the dependencies is seen through every spelling.
+        ns.bind_object("/lib/x.o", assemble("x", ".text\nnop\n").unwrap());
+        ns.bind_object("/x", assemble("x", ".text\nnop\n").unwrap());
+        for d in deps {
+            assert!(ns.any_touched_since([d], snap), "{d}");
+        }
+        // A bind through a non-canonical spelling is seen canonically.
+        let snap = ns.generation();
+        ns.bind_object("lib//x.o/", assemble("x", ".text\nnop\n").unwrap());
+        assert!(ns.any_touched_since(["/lib/x.o"], snap));
+        assert!(!ns.any_touched_since(["x/"], snap));
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl InstantiateReply {
 
 /// A cached evaluated module plus the namespace paths it was derived
 /// from and the generation it was derived at.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct EvalEntry {
     module: Module,
     deps: Arc<BTreeSet<String>>,
@@ -190,14 +190,15 @@ struct EvalEntry {
 /// A cached full reply plus its dependency record. `pub(crate)` so the
 /// persistence layer can write reply rows into a checkpoint and seed
 /// them back on restore.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ReplyEntry {
     pub(crate) reply: InstantiateReply,
     pub(crate) deps: Arc<BTreeSet<String>>,
     pub(crate) gen: u64,
     /// The blueprint the reply answers — persisted so a restore can
-    /// re-derive the resolution statically and verify it.
-    pub(crate) blueprint: Blueprint,
+    /// re-derive the resolution statically and verify it. Shared with
+    /// the namespace entry it was instantiated from.
+    pub(crate) blueprint: Arc<Blueprint>,
     /// The sealed canonical resolution-manifest frame.
     pub(crate) manifest: Arc<Vec<u8>>,
 }
@@ -465,12 +466,26 @@ impl Omos {
     /// Lints the meta-object (or bare fragment) at `path` without
     /// instantiating anything.
     pub fn lint(&self, path: &str) -> Result<Vec<Diagnostic>, OmosError> {
-        let bp = match self.namespace.lookup(path) {
-            Some(Entry::Meta(bp)) => (*bp).clone(),
-            Some(Entry::Object(_)) => Blueprint::from_root(MNode::Leaf(path.to_string())),
-            None => return Err(OmosError::NoSuchName(path.to_string())),
-        };
+        let (bp, _) = self.root_blueprint(path)?;
         Ok(self.lint_blueprint(&bp))
+    }
+
+    /// The blueprint a request naming `path` works on: a bound
+    /// meta-object is the namespace's own shared blueprint, returned
+    /// with the reply key memoized when it was bound; a bare fragment
+    /// is wrapped in a one-leaf blueprint and has no memoized key.
+    fn root_blueprint(
+        &self,
+        path: &str,
+    ) -> Result<(Arc<Blueprint>, Option<ContentHash>), OmosError> {
+        match self.namespace.lookup_keyed(path) {
+            Some((Entry::Meta(bp), key)) => Ok((bp, key)),
+            Some((Entry::Object(_), _)) => Ok((
+                Arc::new(Blueprint::from_root(MNode::Leaf(path.to_string()))),
+                None,
+            )),
+            None => Err(OmosError::NoSuchName(path.to_string())),
+        }
     }
 
     /// Statically analyzes an arbitrary blueprint against this server's
@@ -490,26 +505,28 @@ impl Omos {
     /// Instantiates the meta-object (or bare fragment) at `path`.
     pub fn instantiate(&self, path: &str) -> Result<InstantiateReply, OmosError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let bp = match self.namespace.lookup(path) {
-            Some(Entry::Meta(bp)) => (*bp).clone(),
-            Some(Entry::Object(_)) => Blueprint::from_root(MNode::Leaf(path.to_string())),
-            None => return Err(OmosError::NoSuchName(path.to_string())),
-        };
-        self.request(&bp, Some(path))
+        let (bp, key) = self.root_blueprint(path)?;
+        let key = key.unwrap_or_else(|| bp.hash());
+        self.request(&bp, key, Some(path))
     }
 
     /// Instantiates an arbitrary blueprint (the paper's "execution of
     /// arbitrary blueprints" dynamic-loading interface).
     pub fn instantiate_blueprint(&self, bp: &Blueprint) -> Result<InstantiateReply, OmosError> {
-        self.request(bp, None)
+        self.request(&Arc::new(bp.clone()), bp.hash(), None)
     }
 
-    /// Serves one instantiation: reply cache, then single-flight (the
-    /// leader builds, concurrent identical requests coalesce).
-    fn request(&self, bp: &Blueprint, root: Option<&str>) -> Result<InstantiateReply, OmosError> {
+    /// Serves one instantiation of `bp` under its reply key
+    /// (`bp.hash()`): reply cache, then single-flight (the leader
+    /// builds, concurrent identical requests coalesce).
+    fn request(
+        &self,
+        bp: &Arc<Blueprint>,
+        key: ContentHash,
+        root: Option<&str>,
+    ) -> Result<InstantiateReply, OmosError> {
         let guard = self.tracer.begin_request(SpanKind::Request);
         let req = guard.req();
-        let key = bp.hash();
         // The probe keeps a stale entry's manifest as a relink seed: the
         // old resolution is exactly the "before" side of the manifest
         // diff the incremental relinker plans from. A plain miss may
@@ -578,10 +595,13 @@ impl Omos {
             .namespace
             .any_touched_since(entry.deps.iter(), entry.gen)
         {
-            self.reply_cache.remove(&key);
             self.tracer.probe(CacheKind::Reply, ProbeOutcome::Stale);
-            self.tracer
-                .evict(CacheKind::Reply, EvictReason::Invalidated, 1);
+            // Drop only the row probed: a fresh row a leader inserted
+            // since the unlocked get must survive.
+            if self.reply_cache.remove_if_same(&key, &entry) {
+                self.tracer
+                    .evict(CacheKind::Reply, EvictReason::Invalidated, 1);
+            }
             return ReplyProbe::Stale(Arc::clone(&entry.manifest));
         }
         self.tracer.probe(CacheKind::Reply, ProbeOutcome::Hit);
@@ -604,7 +624,7 @@ impl Omos {
     /// loses correctness — the full path is authoritative).
     fn rebuild_reply(
         &self,
-        bp: &Blueprint,
+        bp: &Arc<Blueprint>,
         root: Option<&str>,
         key: ContentHash,
         seed: Option<Arc<Vec<u8>>>,
@@ -664,7 +684,7 @@ impl Omos {
     /// program image, cache the reply with its dependency record.
     fn build_reply(
         &self,
-        bp: &Blueprint,
+        bp: &Arc<Blueprint>,
         root: Option<&str>,
         key: ContentHash,
     ) -> Result<InstantiateReply, OmosError> {
@@ -844,7 +864,7 @@ impl Omos {
     /// incremental path's work is dominated by reuse.
     fn relink_reply(
         &self,
-        bp: &Blueprint,
+        bp: &Arc<Blueprint>,
         root: Option<&str>,
         key: ContentHash,
         seed: &[u8],
@@ -1052,11 +1072,7 @@ impl Omos {
     /// [`Omos::explain_blueprint`] for the meta-object (or bare
     /// fragment) bound at `path`.
     pub fn explain(&self, path: &str) -> Result<ResolutionManifest, OmosError> {
-        let bp = match self.namespace.lookup(path) {
-            Some(Entry::Meta(bp)) => (*bp).clone(),
-            Some(Entry::Object(_)) => Blueprint::from_root(MNode::Leaf(path.to_string())),
-            None => return Err(OmosError::NoSuchName(path.to_string())),
-        };
+        let (bp, _) = self.root_blueprint(path)?;
         self.explain_blueprint(&bp)
     }
 
@@ -1071,7 +1087,7 @@ impl Omos {
     /// the simulated schedule.
     fn build_reply_parallel(
         &self,
-        bp: &Blueprint,
+        bp: &Arc<Blueprint>,
         root: Option<&str>,
         key: ContentHash,
         ctx: &ReqCtx<'_>,
@@ -1262,7 +1278,7 @@ impl Omos {
         gen: u64,
         mut deps: BTreeSet<String>,
         root: Option<&str>,
-        bp: &Blueprint,
+        bp: &Arc<Blueprint>,
         manifest: &ResolutionManifest,
     ) {
         if let Some(p) = root {
@@ -1274,7 +1290,7 @@ impl Omos {
                 reply: reply.clone(),
                 gen,
                 deps: Arc::new(deps),
-                blueprint: bp.clone(),
+                blueprint: Arc::clone(bp),
                 manifest: Arc::new(manifest.encode()),
             },
         );
@@ -1700,18 +1716,19 @@ impl EvalContext for ReqCtx<'_> {
             {
                 self.server.tracer.probe(CacheKind::Eval, ProbeOutcome::Hit);
                 Some(CachedEval {
-                    module: entry.module,
-                    deps: entry.deps,
+                    module: entry.module.clone(),
+                    deps: Arc::clone(&entry.deps),
                 })
             }
-            Some(_) => {
-                self.server.eval_cache.remove(&key);
+            Some(stale) => {
                 self.server
                     .tracer
                     .probe(CacheKind::Eval, ProbeOutcome::Stale);
-                self.server
-                    .tracer
-                    .evict(CacheKind::Eval, EvictReason::Invalidated, 1);
+                if self.server.eval_cache.remove_if_same(&key, &stale) {
+                    self.server
+                        .tracer
+                        .evict(CacheKind::Eval, EvictReason::Invalidated, 1);
+                }
                 None
             }
             None => {
@@ -2041,6 +2058,34 @@ mod tests {
     }
 
     #[test]
+    fn warm_hits_share_rows_across_an_unrelated_bind() {
+        let s = server();
+        let _ = s.instantiate("/bin/hello").unwrap();
+        let first = s.instantiate("/bin/hello").unwrap();
+        s.namespace.bind_object(
+            "/scratch/unrelated.o",
+            assemble("u.o", ".text\nnop\n").unwrap(),
+        );
+        let second = s.instantiate("/bin/hello").unwrap();
+        assert!(first.cache_hit && second.cache_hit);
+        assert_eq!(s.stats().reply_cache_hits, 2);
+        assert!(Arc::ptr_eq(&first.program, &second.program));
+        assert_eq!(first.libraries.len(), second.libraries.len());
+        for (a, b) in first.libraries.iter().zip(&second.libraries) {
+            assert!(Arc::ptr_eq(a, b), "hits share the cached library images");
+        }
+        // The cached row holds the namespace's own blueprint, not a copy.
+        let Some((Entry::Meta(bound), Some(key))) = s.namespace.lookup_keyed("/bin/hello") else {
+            panic!("/bin/hello is a keyed meta-object");
+        };
+        let row = s
+            .reply_cache
+            .get(&key)
+            .expect("row cached under the bind-time key");
+        assert!(Arc::ptr_eq(&row.blueprint, &bound));
+    }
+
+    #[test]
     fn missing_name_and_bad_reference() {
         let s = server();
         assert!(matches!(
@@ -2254,11 +2299,7 @@ impl Omos {
     ) -> Result<(InstantiateReply, Vec<String>), OmosError> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let guard = self.tracer.begin_request(SpanKind::Request);
-        let bp = match self.namespace.lookup(path) {
-            Some(Entry::Meta(bp)) => (*bp).clone(),
-            Some(Entry::Object(_)) => Blueprint::from_root(MNode::Leaf(path.to_string())),
-            None => return Err(OmosError::NoSuchName(path.to_string())),
-        };
+        let (bp, _) = self.root_blueprint(path)?;
         let ctx = ReqCtx::new(self);
         let mut server_ns = self.cost.server_cached_request_ns;
         self.tracer.advance(self.cost.server_cached_request_ns);

@@ -5,7 +5,8 @@
 //! * [`Sharded`] — a hash map split over N independently locked shards,
 //!   so requests touching different keys never contend. The server's
 //!   eval and reply caches shard by [`ContentHash`](omos_obj::ContentHash)
-//!   (the key's low bits pick the shard).
+//!   (the key's low bits pick the shard). Values sit behind an `Arc`, so
+//!   a probe hands out a shared row instead of copying it.
 //! * [`SingleFlight`] — per-key request coalescing: when N threads miss
 //!   the cache on the same key at once, exactly one (the *leader*) runs
 //!   the computation; the rest block on a condvar and share the leader's
@@ -28,13 +29,14 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A concurrent hash map sharded over independently locked segments.
+/// Each value is stored as an `Arc<V>`: readers share the stored row.
 #[derive(Debug)]
 pub struct Sharded<K, V> {
-    shards: Vec<RwLock<HashMap<K, V>>>,
+    shards: Vec<RwLock<HashMap<K, Arc<V>>>>,
     hasher: RandomState,
 }
 
-impl<K: Hash + Eq, V: Clone> Sharded<K, V> {
+impl<K: Hash + Eq, V> Sharded<K, V> {
     /// A map with `shards` segments (rounded up to at least 1).
     #[must_use]
     pub fn new(shards: usize) -> Sharded<K, V> {
@@ -46,14 +48,15 @@ impl<K: Hash + Eq, V: Clone> Sharded<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
+    fn shard(&self, key: &K) -> &RwLock<HashMap<K, Arc<V>>> {
         let h = self.hasher.hash_one(key) as usize;
         &self.shards[h % self.shards.len()]
     }
 
-    /// Clones the value under `key`, if present.
+    /// The row under `key`, if present: a new reference to the stored
+    /// `Arc`, never a copy of the value.
     #[must_use]
-    pub fn get(&self, key: &K) -> Option<V> {
+    pub fn get(&self, key: &K) -> Option<Arc<V>> {
         self.shard(key)
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -66,15 +69,23 @@ impl<K: Hash + Eq, V: Clone> Sharded<K, V> {
         self.shard(&key)
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, value);
+            .insert(key, Arc::new(value));
     }
 
-    /// Removes the entry under `key`.
-    pub fn remove(&self, key: &K) {
-        self.shard(key)
+    /// Removes the entry under `key` only if it is still the row `seen`
+    /// (pointer identity). A caller that found a row stale through an
+    /// unlocked [`Sharded::get`] uses this so it cannot delete a fresh
+    /// row another thread inserted in between. Returns true if removed.
+    pub fn remove_if_same(&self, key: &K, seen: &Arc<V>) -> bool {
+        let mut shard = self
+            .shard(key)
             .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(key);
+            .unwrap_or_else(PoisonError::into_inner);
+        let same = shard.get(key).is_some_and(|row| Arc::ptr_eq(row, seen));
+        if same {
+            shard.remove(key);
+        }
+        same
     }
 
     /// Total entries across all shards — a *consistent* point-in-time
@@ -101,12 +112,12 @@ impl<K: Hash + Eq, V: Clone> Sharded<K, V> {
         self.len() == 0
     }
 
-    /// Clones every entry out — a consistent point-in-time snapshot
-    /// (all shard read-locks held together, like [`Sharded::len`]).
-    /// Used by the checkpoint writer, which must not see a half-updated
-    /// cache.
+    /// Every entry, sharing the stored rows — a consistent point-in-time
+    /// snapshot (all shard read-locks held together, like
+    /// [`Sharded::len`]). Used by the checkpoint writer, which must not
+    /// see a half-updated cache.
     #[must_use]
-    pub fn entries(&self) -> Vec<(K, V)>
+    pub fn entries(&self) -> Vec<(K, Arc<V>)>
     where
         K: Clone,
     {
@@ -257,11 +268,38 @@ mod tests {
         assert!(m.is_empty());
         m.insert(1, "a".into());
         m.insert(2, "b".into());
-        assert_eq!(m.get(&1).as_deref(), Some("a"));
+        assert_eq!(m.get(&1).as_deref().map(String::as_str), Some("a"));
         assert_eq!(m.len(), 2);
-        m.remove(&1);
+        let row = m.get(&1).unwrap();
+        assert!(m.remove_if_same(&1, &row));
         assert!(m.get(&1).is_none());
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn sharded_get_shares_the_stored_row() {
+        let m: Sharded<u64, String> = Sharded::new(2);
+        m.insert(1, "a".into());
+        let (x, y) = (m.get(&1).unwrap(), m.get(&1).unwrap());
+        assert!(Arc::ptr_eq(&x, &y), "two probes see one row");
+        assert!(Arc::ptr_eq(&m.entries()[0].1, &x));
+    }
+
+    #[test]
+    fn remove_if_same_spares_a_replaced_row() {
+        let m: Sharded<u64, String> = Sharded::new(2);
+        m.insert(1, "stale".into());
+        let seen = m.get(&1).unwrap();
+        // Another thread replaces the row between the probe and the drop.
+        m.insert(1, "fresh".into());
+        assert!(!m.remove_if_same(&1, &seen), "the fresh row survives");
+        assert_eq!(m.get(&1).as_deref().map(String::as_str), Some("fresh"));
+        // The row the caller actually probed is removed.
+        let seen = m.get(&1).unwrap();
+        assert!(m.remove_if_same(&1, &seen));
+        assert!(m.get(&1).is_none());
+        // Nothing to remove: a no-op.
+        assert!(!m.remove_if_same(&1, &seen));
     }
 
     #[test]

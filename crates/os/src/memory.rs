@@ -29,6 +29,9 @@ impl Frame {
     }
 }
 
+/// The frame every demand-zero page reads through.
+static ZERO_FRAME: Frame = Frame([0; PAGE_SIZE as usize]);
+
 #[derive(Debug)]
 enum Page {
     /// Shared with other address spaces (or with the image cache);
@@ -36,6 +39,41 @@ enum Page {
     Shared(Arc<Frame>),
     /// Private to this address space.
     Private(Box<Frame>),
+    /// A private page not yet written: reads see zeros, and the first
+    /// store materializes its frame (a demand-zero fill, not a
+    /// copy-on-write fault). Counted as private everywhere.
+    Zero,
+}
+
+impl Page {
+    fn bytes(&self) -> &[u8; PAGE_SIZE as usize] {
+        match self {
+            Page::Shared(f) => &f.0,
+            Page::Private(f) => &f.0,
+            Page::Zero => &ZERO_FRAME.0,
+        }
+    }
+
+    /// The page's private frame for a store, materializing it first: a
+    /// shared frame is copied (returns true: a copy-on-write fault), a
+    /// demand-zero page gets a fresh zero frame.
+    fn privatize(&mut self) -> (&mut [u8; PAGE_SIZE as usize], bool) {
+        let cow = match self {
+            Page::Shared(f) => {
+                *self = Page::Private(Box::new(Frame(f.0)));
+                true
+            }
+            Page::Zero => {
+                *self = Page::Private(Box::new(Frame::zeroed()));
+                false
+            }
+            Page::Private(_) => false,
+        };
+        match self {
+            Page::Private(f) => (&mut f.0, cow),
+            _ => unreachable!("privatized above"),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -133,6 +171,7 @@ impl AddressSpace {
     }
 
     /// Maps `pages` fresh private zero pages at `vaddr` (stack, heap).
+    /// They are demand-zero: no frame exists until the first store.
     pub fn map_private_zero(&mut self, vaddr: u32, pages: u32) -> Result<MapWork, String> {
         if !vaddr.is_multiple_of(PAGE_SIZE) {
             return Err(format!("base {vaddr:#x} not page aligned"));
@@ -150,7 +189,7 @@ impl AddressSpace {
             self.pages.insert(
                 first + i,
                 PageEntry {
-                    page: Page::Private(Box::new(Frame::zeroed())),
+                    page: Page::Zero,
                     writable: true,
                 },
             );
@@ -176,7 +215,7 @@ impl AddressSpace {
         for (&pno, e) in &self.pages {
             match &e.page {
                 Page::Shared(a) => f(pno, Some(Arc::as_ptr(a))),
-                Page::Private(_) => f(pno, None),
+                Page::Private(_) | Page::Zero => f(pno, None),
             }
         }
     }
@@ -195,14 +234,8 @@ impl AddressSpace {
                 addr: a,
                 write: true,
             })?;
-            if let Page::Shared(f) = &entry.page {
-                entry.page = Page::Private(Box::new(Frame(f.0)));
-                self.cow_faults += 1;
-            }
-            let dst = match &mut entry.page {
-                Page::Private(f) => &mut f.0,
-                Page::Shared(_) => unreachable!("privatized above"),
-            };
+            let (dst, cow) = entry.page.privatize();
+            self.cow_faults += u64::from(cow);
             let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
             dst[off..off + n].copy_from_slice(&buf[done..done + n]);
             done += n;
@@ -226,11 +259,7 @@ impl Memory for AddressSpace {
             let a = addr + done as u32;
             let (entry, off) = self.page_for_read(a)?;
             let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
-            let src = match &entry.page {
-                Page::Shared(f) => &f.0,
-                Page::Private(f) => &f.0,
-            };
-            buf[done..done + n].copy_from_slice(&src[off..off + n]);
+            buf[done..done + n].copy_from_slice(&entry.page.bytes()[off..off + n]);
             done += n;
         }
         Ok(())
@@ -252,16 +281,10 @@ impl Memory for AddressSpace {
                     write: true,
                 });
             }
-            // Copy-on-write: first store to a shared page privatizes it.
-            if let Page::Shared(f) = &entry.page {
-                let copy = Box::new(Frame(f.0));
-                entry.page = Page::Private(copy);
-                self.cow_faults += 1;
-            }
-            let dst = match &mut entry.page {
-                Page::Private(f) => &mut f.0,
-                Page::Shared(_) => unreachable!("privatized above"),
-            };
+            // The first store privatizes a shared page (copy-on-write) or
+            // fills a demand-zero one.
+            let (dst, cow) = entry.page.privatize();
+            self.cow_faults += u64::from(cow);
             let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
             dst[off..off + n].copy_from_slice(&buf[done..done + n]);
             done += n;
@@ -599,6 +622,44 @@ mod tests {
         assert_eq!(acc.resident_frames, 4);
         assert_eq!(acc.private_pages, 1);
         assert_eq!(acc.pages_saved(), 26);
+    }
+
+    #[test]
+    fn demand_zero_pages_fill_on_first_store() {
+        let mut a = AddressSpace::new();
+        let work = a.map_private_zero(0x1000, 3).unwrap();
+        assert_eq!(
+            work,
+            MapWork {
+                regions: 1,
+                pages: 3
+            }
+        );
+        assert_eq!(a.mapped_pages(), 3);
+        // Unwritten pages read as zeros and count as private.
+        let mut buf = [0xffu8; 8];
+        a.read(0x1ffc, &mut buf).unwrap();
+        assert_eq!(buf, [0; 8]);
+        let acc = MemoryAccounting::measure(&[&a]);
+        assert_eq!((acc.private_pages, acc.resident_frames), (3, 3));
+        // The first store fills the page without a copy-on-write fault,
+        // through both write paths; neighbours stay zero.
+        a.write(0x1004, &[7]).unwrap();
+        a.force_write(0x2ffe, &[8, 9, 10]).unwrap();
+        assert_eq!(a.cow_faults, 0);
+        let mut back = [0u8; 6];
+        a.read(0x2ffc, &mut back).unwrap();
+        assert_eq!(back, [0, 0, 8, 9, 10, 0]);
+        a.read(0x1000, &mut back).unwrap();
+        assert_eq!(back, [0, 0, 0, 0, 7, 0]);
+        assert_eq!(a.mapped_pages(), 3);
+        assert_eq!(MemoryAccounting::measure(&[&a]), acc);
+        // A second space's zero pages are its own.
+        let mut b = AddressSpace::new();
+        b.map_private_zero(0x1000, 1).unwrap();
+        let mut one = [0u8; 1];
+        b.read(0x1004, &mut one).unwrap();
+        assert_eq!(one, [0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! drawn from a small world of object files.
 //!
 //! The second half checks the *cost* claim: analysis never materializes
-//! a view (observed through the global materialize counter) and is
+//! a view (observed through the per-thread materialize counter) and is
 //! measurably cheaper than evaluation on byte-heavy inputs.
 
 use std::collections::{BTreeSet, HashMap};

@@ -443,9 +443,14 @@ impl Analyzer<'_> {
     }
 
     /// Folds `src` into `dst` under merge (`override_conflicts: false`)
-    /// or override (`true`) rules, mirroring the module combiner: local
-    /// symbols are uniquified, sections are appended (keeping the
-    /// footprint right), symbol entries replay the insert upgrade rules.
+    /// or override (`true`) rules: sections are appended (keeping the
+    /// footprint right) and symbol entries replay the insert upgrade
+    /// rules. `src`'s locals are uniquified so they cannot capture
+    /// another operand's names, but *not* with the merge engine's
+    /// naming: one counter runs across the whole analysis and `dst`'s
+    /// locals are never renamed again, so skeleton local names differ
+    /// from evaluated ones. Verdicts agree unless an operand defines a
+    /// global spelled like a `$u<k>` local name.
     fn fuse(
         &mut self,
         dst: &mut NodeState,

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use omos_constraint::RegionClass;
 use omos_link::make_partial_stubs;
-use omos_module::Module;
+use omos_module::{MergeBuilder, Module};
 use omos_obj::{ContentHash, ObjError};
 
 use crate::ast::{Blueprint, BlueprintError, MNode, SpecKind};
@@ -249,30 +249,28 @@ impl Evaluator<'_> {
         match n {
             MNode::Leaf(path) => self.leaf(path),
             MNode::Merge(items) => {
-                let mut acc: Option<Module> = None;
+                // Each operand is appended as soon as it is evaluated, so
+                // a merge step fails before later operands are evaluated,
+                // exactly as the binary fold would.
+                let mut merged = MergeBuilder::new();
                 for it in items {
                     let m = match self.library_candidate(it)? {
                         Some(()) => continue, // recorded as a library use
                         None => self.node(it)?,
                     };
-                    acc = Some(match acc {
-                        None => m,
-                        Some(a) => {
-                            self.stats.merges += 1;
-                            a.merge_with(&m)?
-                        }
-                    });
-                }
-                match acc {
-                    Some(a) => Ok(a),
-                    None => {
-                        // Every operand was a shared library: the "client"
-                        // is empty, which is a blueprint bug.
-                        Err(EvalError::Misplaced(
-                            "merge of only shared libraries produces an empty client".into(),
-                        ))
+                    if !merged.is_empty() {
+                        self.stats.merges += 1;
                     }
+                    merged.push(&m)?;
                 }
+                if merged.is_empty() {
+                    // Every operand was a shared library: the "client" is
+                    // empty, which is a blueprint bug.
+                    return Err(EvalError::Misplaced(
+                        "merge of only shared libraries produces an empty client".into(),
+                    ));
+                }
+                Ok(merged.finish()?)
             }
             MNode::Override(a, b) => {
                 let ma = self.node(a)?;
@@ -588,6 +586,46 @@ pub(crate) mod tests {
         assert!(out.libraries.is_empty());
         assert_eq!(out.stats.merges, 1);
         assert_eq!(out.stats.leaves, 2);
+    }
+
+    #[test]
+    fn n_operand_merge_records_n_minus_one_merges() {
+        let mut ctx = TestCtx::default();
+        for i in 0..5 {
+            ctx.add_asm(
+                &format!("/obj/m{i}.o"),
+                &format!(".text\n.global _f{i}\n_f{i}: ret\n"),
+            );
+        }
+        ctx.add_meta(
+            "/lib/libc",
+            "(constraint-list \"T\" 0x1000000)\n(merge /obj/m0.o)",
+        );
+        // A library operand is not merged into the client, so it is not
+        // a merge; the library's own one-operand merge is not one either.
+        let bp =
+            Blueprint::parse("(merge /obj/m0.o /obj/m1.o /lib/libc /obj/m2.o /obj/m3.o /obj/m4.o)")
+                .unwrap();
+        let out = eval_blueprint(&bp, &ctx).unwrap();
+        assert_eq!(out.stats.merges, 4);
+        assert_eq!(out.libraries.len(), 1);
+        assert_eq!(
+            out.module.materialize().unwrap().name,
+            "/obj/m0.o+/obj/m1.o+/obj/m2.o+/obj/m3.o+/obj/m4.o"
+        );
+    }
+
+    #[test]
+    fn one_operand_merge_keeps_the_operand_view() {
+        let ctx = ls_world();
+        let bp = Blueprint::parse(r#"(merge (hide "^_puts$" /libc/stdio.o))"#).unwrap();
+        let out = eval_blueprint(&bp, &ctx).unwrap();
+        let operand = Module::from_arc(Arc::clone(&ctx.objects["/libc/stdio.o"]))
+            .hide("^_puts$")
+            .unwrap();
+        assert_eq!(out.stats.merges, 0);
+        assert_eq!(out.module.view().op_count(), 1, "not materialized");
+        assert_eq!(out.module.content_hash(), operand.content_hash());
     }
 
     #[test]

@@ -17,7 +17,13 @@
 //! * merge/override operand order is frozen at plan time — a merge of n
 //!   operands is a *chain* of binary steps (merge is not associative:
 //!   combined object names and local-symbol uniquification depend on
-//!   operand order), so only sibling subtrees run concurrently;
+//!   operand order), so only sibling subtrees run concurrently. Each
+//!   step runs the same merge engine as sequential evaluation
+//!   ([`omos_module::MergeBuilder`]), but a chain step re-materializes
+//!   its accumulated left operand, so a chain still costs O(width²)
+//!   host time where the sequential one-pass merge costs O(width). The
+//!   chain's units are also the simulated schedule at `eval_jobs > 1`,
+//!   so collapsing it would move simulated latency;
 //! * units are emitted in sequential execution order, so a unit's
 //!   dependencies always have smaller ordinals, and on failure the
 //!   error with the smallest ordinal — the one sequential evaluation
@@ -857,6 +863,39 @@ mod tests {
     use super::*;
     use crate::eval::tests::{ls_world, TestCtx};
     use crate::eval_blueprint;
+
+    #[test]
+    fn wide_nested_merge_with_locals_matches_sequential_objects() {
+        let build = || {
+            let mut ctx = TestCtx::default();
+            for op in ["a", "b", "c", "d", "e", "f"] {
+                ctx.add_asm(
+                    &format!("/obj/{op}.o"),
+                    &format!(
+                        ".text\n.global _{op}\n_{op}: li r2, _msg\n li r3, _tbl\n ret\n\
+                         .rodata\n_msg: .ascii \"{op}\"\n_tbl: .word 0\n"
+                    ),
+                );
+            }
+            ctx
+        };
+        let bp = Blueprint::parse(
+            "(merge (merge /obj/a.o /obj/b.o /obj/c.o) /obj/d.o (merge /obj/e.o /obj/f.o))",
+        )
+        .unwrap();
+        let seq = eval_blueprint(&bp, &build()).unwrap();
+        let par = eval_blueprint_parallel(&bp, &build(), 4).unwrap();
+        assert_eq!(seq.stats, par.output.stats);
+        assert_eq!(seq.stats.merges, 5);
+        let obj = seq.module.materialize().unwrap();
+        assert_eq!(obj, par.output.module.materialize().unwrap());
+        let locals = obj
+            .symbols
+            .iter()
+            .filter(|s| s.binding == omos_obj::SymbolBinding::Local)
+            .count();
+        assert_eq!(locals, 12, "every operand's locals survive, renamed");
+    }
 
     fn assert_matches_sequential(src: &str, build: impl Fn() -> TestCtx) {
         let seq_ctx = build();

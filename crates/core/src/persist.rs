@@ -846,8 +846,10 @@ fn apply_journal_record(server: &Omos, payload: &[u8]) -> ObjResult<()> {
             let len = r.u32()? as usize;
             let frame = r.bytes(len)?;
             match decode_entry(op, frame)? {
-                Entry::Object(obj) => server.namespace.bind_object(&path, (*obj).clone()),
-                Entry::Meta(bp) => server.namespace.bind_meta(&path, (*bp).clone()),
+                Entry::Object(obj) => server
+                    .namespace
+                    .bind_object(&path, Arc::unwrap_or_clone(obj)),
+                Entry::Meta(bp) => server.namespace.bind_meta(&path, Arc::unwrap_or_clone(bp)),
             }
         }
         other => return Err(ObjError::Malformed(format!("journal: bad op {other}"))),
@@ -1016,11 +1018,13 @@ impl Omos {
             for (path, kind, frame) in &manifest.ns {
                 match decode_entry(*kind, frame).ok() {
                     Some(Entry::Object(obj)) => {
-                        server.namespace.bind_object(path, (*obj).clone());
+                        server
+                            .namespace
+                            .bind_object(path, Arc::unwrap_or_clone(obj));
                         report.ns_entries += 1;
                     }
                     Some(Entry::Meta(bp)) => {
-                        server.namespace.bind_meta(path, (*bp).clone());
+                        server.namespace.bind_meta(path, Arc::unwrap_or_clone(bp));
                         report.ns_entries += 1;
                     }
                     None => report.drops.ns_decode += 1,

@@ -11,19 +11,21 @@
 //! [`Module::freeze`] is O(1) in section bytes — it derives a new view, per
 //! the paper: "Execution of a module operation (with the exceptions of
 //! merge and freeze) results in the production of a new view of the
-//! operand."
+//! operand." The merging operators all run one engine, [`MergeBuilder`],
+//! which copies each operand once.
 
 use std::sync::Arc;
 
 use omos_obj::view::{RenameTarget, View, ViewOp};
-use omos_obj::{
-    ContentHash, ObjError, ObjectFile, Regex, Relocation, Result, Section, SectionKind, Symbol,
-    SymbolBinding, SymbolDef,
-};
+use omos_obj::{ContentHash, ObjectFile, Regex, Result, Section, SectionKind, Symbol};
 
 mod initializers;
+mod merge;
 
 pub use initializers::{emitted_bytes, emitted_insts, generate_initializers};
+pub use merge::MergeBuilder;
+
+use merge::Acc;
 
 /// How a merge resolves conflicting definitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,25 +202,29 @@ impl Module {
     /// `merge`: binds definitions in one operand to references in the
     /// other. Duplicate definitions are an error.
     pub fn merge_with(&self, other: &Module) -> Result<Module> {
-        combine(self, other, MergeMode::Strict)
+        let mut merged = MergeBuilder::new();
+        merged.push(self)?;
+        merged.push(other)?;
+        merged.finish()
     }
 
     /// `override`: merge resolving conflicts in favor of `other`.
     pub fn override_with(&self, other: &Module) -> Result<Module> {
-        combine(self, other, MergeMode::Override)
+        let mut merged = MergeBuilder::new();
+        merged.push(self)?;
+        merged.push_override(other)?;
+        merged.finish()
     }
 
-    /// n-ary `merge` — folds [`Module::merge_with`] left to right.
+    /// n-ary `merge`, defined as the left fold of [`Module::merge_with`]
+    /// and computed in one pass by [`MergeBuilder`]: each operand is
+    /// copied once, so the cost is O(total operand size).
     pub fn merge_all(modules: &[Module]) -> Result<Module> {
-        let mut it = modules.iter();
-        let first = it
-            .next()
-            .ok_or_else(|| ObjError::Invalid("merge of zero modules".into()))?;
-        let mut acc = first.clone();
-        for m in it {
-            acc = acc.merge_with(m)?;
+        let mut merged = MergeBuilder::new();
+        for m in modules {
+            merged.push(m)?;
         }
-        Ok(acc)
+        merged.finish()
     }
 
     /// `initializers`: synthesizes a `__static_init` routine calling every
@@ -227,97 +233,10 @@ impl Module {
     pub fn initializers(&self) -> Result<Module> {
         let obj = self.materialize()?;
         let init = generate_initializers(&obj)?;
-        self.merge_with(&Module::from_object(init))
+        let mut merged = Acc::new(obj);
+        merged.append(init, MergeMode::Strict)?;
+        Ok(Module::from_object(merged.finish()))
     }
-}
-
-/// Combines two modules into one concrete object.
-fn combine(a: &Module, b: &Module, mode: MergeMode) -> Result<Module> {
-    let oa = a.materialize()?;
-    let ob = b.materialize()?;
-    let mut out = ObjectFile::new(&format!("{}+{}", oa.name, ob.name));
-
-    let mut uniq = 0usize;
-    append_object(&mut out, oa, MergeMode::Strict, &mut uniq)?;
-    append_object(&mut out, ob, mode, &mut uniq)?;
-    out.validate()?;
-    Ok(Module::from_object(out))
-}
-
-/// Appends `src`'s sections, symbols, and relocations into `dst`,
-/// uniquifying local symbols and remapping section indices.
-fn append_object(
-    dst: &mut ObjectFile,
-    src: ObjectFile,
-    mode: MergeMode,
-    uniq: &mut usize,
-) -> Result<()> {
-    let base = dst.sections.len();
-
-    // Uniquify local symbol names to keep per-object scoping after the
-    // tables fuse. References inside `src` follow the rename.
-    let mut local_rename: Vec<(String, String)> = Vec::new();
-    for sym in src.symbols.iter() {
-        if sym.binding == SymbolBinding::Local {
-            let fresh = loop {
-                let candidate = format!("{}$u{}", sym.name, *uniq);
-                *uniq += 1;
-                if dst.symbols.get(&candidate).is_none() && src.symbols.get(&candidate).is_none() {
-                    break candidate;
-                }
-            };
-            local_rename.push((sym.name.clone(), fresh));
-        }
-    }
-
-    for sec in src.sections {
-        dst.add_section(Section { ..sec });
-    }
-    for sym in src.symbols.iter() {
-        let mut s = sym.clone();
-        if let Some((_, fresh)) = local_rename.iter().find(|(o, _)| o == &s.name) {
-            s.name = fresh.clone();
-        }
-        if let SymbolDef::Defined { section, offset } = s.def {
-            s.def = SymbolDef::Defined {
-                section: section + base,
-                offset,
-            };
-        }
-        match mode {
-            MergeMode::Strict => dst.symbols.insert(s)?,
-            MergeMode::Override => {
-                // Paper: "merges two operands, resolving conflicting
-                // bindings (multiple definitions) in favor of the second
-                // operand." Only a genuine def-def conflict overrides;
-                // ordinary upgrades (undef→def etc.) keep merge rules.
-                let conflict = matches!(
-                    (
-                        dst.symbols.get(&s.name).map(|e| e.def.is_definition()),
-                        s.def.is_definition()
-                    ),
-                    (Some(true), true)
-                );
-                if conflict {
-                    dst.symbols.insert_override(s);
-                } else {
-                    dst.symbols.insert(s)?;
-                }
-            }
-        }
-    }
-    for r in src.relocs {
-        let symbol = match local_rename.iter().find(|(o, _)| o == &r.symbol) {
-            Some((_, fresh)) => fresh.clone(),
-            None => r.symbol,
-        };
-        dst.relocs.push(Relocation {
-            section: r.section + base,
-            symbol,
-            ..r
-        });
-    }
-    Ok(())
 }
 
 /// Returns the total text size of a module, a convenience for memory
@@ -341,6 +260,7 @@ pub fn fragment(name: &str, symbol: &str, kind: SectionKind, bytes: Vec<u8>) -> 
 mod tests {
     use super::*;
     use omos_isa::assemble;
+    use omos_obj::{ObjError, SymbolBinding, SymbolDef};
 
     fn module(src: &str) -> Module {
         Module::from_object(assemble("t.o", src).expect("assembles"))

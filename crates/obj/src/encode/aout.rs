@@ -19,6 +19,14 @@ use crate::symbol::{Symbol, SymbolBinding, SymbolDef};
 
 const MAGIC: &[u8; 4] = b"XAO1";
 
+/// Smallest encodings: an empty name is its 4-byte length alone.
+/// Section: name, kind, size, align, nbytes.
+const MIN_SECTION_BYTES: usize = 4 + 1 + 8 + 8 + 4;
+/// Symbol: name, binding, frozen, an `Undefined` def kind.
+const MIN_SYMBOL_BYTES: usize = 4 + 1 + 1 + 1;
+/// Relocation: section, offset, kind, symbol, addend.
+const MIN_RELOC_BYTES: usize = 4 + 8 + 1 + 4 + 8;
+
 /// The `aout` encoding backend.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AoutBackend;
@@ -66,7 +74,13 @@ impl Backend for AoutBackend {
         let nsect = r.u32()? as usize;
         let nsym = r.u32()? as usize;
         let nreloc = r.u32()? as usize;
+        // Decoded objects are kept as they are (a restored namespace
+        // binds them without a copy), so size each table exactly. A
+        // count cannot claim more records than the remaining bytes hold
+        // at their minimum encoded size.
         let mut obj = ObjectFile::new(&name);
+        obj.sections
+            .reserve_exact(nsect.min(r.remaining() / MIN_SECTION_BYTES));
         for _ in 0..nsect {
             let name = r.str()?;
             let kind = SectionKind::from_code(r.u8()?)
@@ -89,12 +103,16 @@ impl Backend for AoutBackend {
                 align,
             });
         }
+        obj.symbols
+            .reserve_exact(nsym.min(r.remaining() / MIN_SYMBOL_BYTES));
         for _ in 0..nsym {
             let sym = read_symbol(&mut r)?;
             obj.symbols
                 .insert(sym)
                 .map_err(|e| ObjError::Malformed(format!("symbol table: {e}")))?;
         }
+        obj.relocs
+            .reserve_exact(nreloc.min(r.remaining() / MIN_RELOC_BYTES));
         for _ in 0..nreloc {
             let section = r.u32()? as usize;
             let offset = r.u64()?;
@@ -185,6 +203,23 @@ mod tests {
         let obj = ObjectFile::new("empty.o");
         let bytes = AoutBackend.write(&obj);
         assert_eq!(AoutBackend.read(&bytes).unwrap(), obj);
+    }
+
+    #[test]
+    fn decoded_tables_are_sized_exactly() {
+        let obj = super::super::tests::sample();
+        let back = AoutBackend.read(&AoutBackend.write(&obj)).unwrap();
+        assert_eq!(back, obj);
+        assert_eq!(back.sections.capacity(), back.sections.len());
+        assert_eq!(back.relocs.capacity(), back.relocs.len());
+    }
+
+    #[test]
+    fn inflated_counts_are_rejected_without_reserving_them() {
+        let mut bytes = AoutBackend.write(&ObjectFile::new("t.o"));
+        // nsect, nsym and nreloc follow magic(4) + name(4 + 3).
+        bytes[11..23].fill(0xff);
+        assert!(AoutBackend.read(&bytes).is_err());
     }
 
     #[test]

@@ -92,35 +92,50 @@ impl ObjectFile {
     /// section and patchable.
     pub fn validate(&self) -> Result<()> {
         for s in self.symbols.iter() {
-            if let SymbolDef::Defined { section, offset } = s.def {
-                let sec = self.sections.get(section).ok_or_else(|| {
-                    ObjError::BadSection(format!("#{section} (symbol {})", s.name))
-                })?;
-                if offset > sec.size {
-                    return Err(ObjError::Invalid(format!(
-                        "symbol {} at {}+{offset:#x} beyond section size {:#x}",
-                        s.name, sec.name, sec.size
-                    )));
-                }
-            }
+            self.validate_symbol(s)?;
         }
         for r in &self.relocs {
+            self.validate_reloc(r)?;
+        }
+        Ok(())
+    }
+
+    /// Checks one symbol against this object's sections (the per-symbol
+    /// half of [`ObjectFile::validate`]).
+    pub fn validate_symbol(&self, s: &Symbol) -> Result<()> {
+        if let SymbolDef::Defined { section, offset } = s.def {
             let sec = self
                 .sections
-                .get(r.section)
-                .ok_or_else(|| ObjError::BadSection(format!("#{} (reloc)", r.section)))?;
-            if sec.kind == SectionKind::Bss {
+                .get(section)
+                .ok_or_else(|| ObjError::BadSection(format!("#{section} (symbol {})", s.name)))?;
+            if offset > sec.size {
                 return Err(ObjError::Invalid(format!(
-                    "relocation against BSS section {}",
-                    sec.name
+                    "symbol {} at {}+{offset:#x} beyond section size {:#x}",
+                    s.name, sec.name, sec.size
                 )));
             }
-            if r.offset + r.kind.width() > sec.size {
-                return Err(ObjError::RelocOutOfRange {
-                    section: sec.name.clone(),
-                    offset: r.offset,
-                });
-            }
+        }
+        Ok(())
+    }
+
+    /// Checks one relocation against this object's sections (the
+    /// per-relocation half of [`ObjectFile::validate`]).
+    pub fn validate_reloc(&self, r: &Relocation) -> Result<()> {
+        let sec = self
+            .sections
+            .get(r.section)
+            .ok_or_else(|| ObjError::BadSection(format!("#{} (reloc)", r.section)))?;
+        if sec.kind == SectionKind::Bss {
+            return Err(ObjError::Invalid(format!(
+                "relocation against BSS section {}",
+                sec.name
+            )));
+        }
+        if r.offset + r.kind.width() > sec.size {
+            return Err(ObjError::RelocOutOfRange {
+                section: sec.name.clone(),
+                offset: r.offset,
+            });
         }
         Ok(())
     }

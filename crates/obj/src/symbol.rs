@@ -170,6 +170,13 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
+    /// Reserves room for `additional` more entries, with no growth slack
+    /// in the entry list.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.symbols.reserve_exact(additional);
+        self.by_name.reserve(additional);
+    }
+
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -197,6 +204,14 @@ impl SymbolTable {
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Symbol> {
         self.by_name.get(name).map(|&i| &self.symbols[i])
+    }
+
+    /// The insertion-order position of the entry named `name`. Positions
+    /// are stable: no operation except [`SymbolTable::remove`] moves an
+    /// entry.
+    #[must_use]
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
     }
 
     /// Looks up an entry mutably by name.
@@ -296,9 +311,26 @@ impl SymbolTable {
             .by_name
             .get(from)
             .ok_or_else(|| ObjError::UndefinedSymbol(from.to_string()))?;
-        self.by_name.remove(from);
-        self.symbols[i].name = to.to_string();
-        self.by_name.insert(to.to_string(), i);
+        self.rename_at(i, to.to_string())
+    }
+
+    /// Renames the entry at `index` (see [`SymbolTable::position`]),
+    /// keeping the index consistent.
+    ///
+    /// Returns an error if another entry is already named `to`.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is out of bounds.
+    pub fn rename_at(&mut self, index: usize, to: String) -> Result<()> {
+        match self.by_name.get(&to) {
+            Some(&j) if j == index => return Ok(()),
+            Some(_) => return Err(ObjError::DuplicateSymbol(to)),
+            None => {}
+        }
+        self.by_name.remove(&self.symbols[index].name);
+        self.by_name.insert(to.clone(), index);
+        self.symbols[index].name = to;
         Ok(())
     }
 
@@ -334,6 +366,25 @@ impl SymbolTable {
                 }
             }
         }
+    }
+}
+
+impl std::ops::Index<usize> for SymbolTable {
+    type Output = Symbol;
+
+    /// The entry at an insertion-order position.
+    fn index(&self, index: usize) -> &Symbol {
+        &self.symbols[index]
+    }
+}
+
+impl IntoIterator for SymbolTable {
+    type Item = Symbol;
+    type IntoIter = std::vec::IntoIter<Symbol>;
+
+    /// Consumes the table, yielding entries in insertion order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.symbols.into_iter()
     }
 }
 
@@ -488,6 +539,22 @@ mod tests {
         assert!(t.rename("_other", "_REAL_malloc").is_err());
         // Renaming a symbol to itself is a no-op, not a duplicate error.
         t.rename("_other", "_other").unwrap();
+    }
+
+    #[test]
+    fn positions_are_stable_across_renames() {
+        let mut t = SymbolTable::new();
+        t.insert(Symbol::defined("_a", 0, 0)).unwrap();
+        t.insert(Symbol::defined("_b", 0, 4)).unwrap();
+        assert_eq!(t.position("_b"), Some(1));
+        t.rename_at(0, "_a$u0".into()).unwrap();
+        assert_eq!(t.position("_a$u0"), Some(0));
+        assert!(t.position("_a").is_none());
+        assert_eq!(t[0].name, "_a$u0");
+        assert!(t.rename_at(0, "_b".into()).is_err());
+        t.rename_at(1, "_b".into()).unwrap();
+        let names: Vec<String> = t.into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["_a$u0", "_b"]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use omos_blueprint::{Blueprint, MNode, Span, SpecKind};
 use omos_constraint::RegionClass;
 use omos_link::make_partial_stubs;
-use omos_module::generate_initializers;
+use omos_module::{fresh_local, generate_initializers};
 use omos_obj::view::{apply_view_op, ViewOp};
 use omos_obj::{
     ObjError, ObjectFile, Regex, Relocation, Section, SectionKind, Symbol, SymbolBinding, SymbolDef,
@@ -27,23 +27,19 @@ pub fn analyze_blueprint(bp: &Blueprint, ctx: &mut dyn LintContext) -> Vec<Diagn
     analyze_blueprint_report(bp, ctx).diagnostics
 }
 
-/// What the symbolic walk learned beyond the findings: inputs the
-/// resolution-manifest derivation needs that only the analyzer can see
-/// without materializing anything.
+/// What the symbolic walk learned beyond the findings.
 #[derive(Debug, Clone)]
 pub struct AnalysisReport {
     /// Every finding, sorted by source position.
     pub diagnostics: Vec<Diagnostic>,
-    /// Symbols replaced by an `override` conflict, in occurrence order
-    /// (the manifest canonicalizes by sorting and deduplicating).
+    /// Symbols replaced by an `override` conflict, in occurrence order.
+    /// Manifests take theirs from the evaluation
+    /// ([`omos_blueprint::EvalOutput::interpositions`]); the differential
+    /// tests hold the two to the same set.
     pub interpositions: Vec<String>,
-    /// Names of the shared libraries the graph references, in
-    /// resolution order.
-    pub libraries: Vec<String>,
 }
 
-/// [`analyze_blueprint`] plus the walk's side products (interposition
-/// chain, library list) for manifest derivation.
+/// [`analyze_blueprint`] plus the walk's interposition chain.
 pub fn analyze_blueprint_report(bp: &Blueprint, ctx: &mut dyn LintContext) -> AnalysisReport {
     let mut a = Analyzer {
         ctx,
@@ -57,7 +53,6 @@ pub fn analyze_blueprint_report(bp: &Blueprint, ctx: &mut dyn LintContext) -> An
         meta_span: None,
         meta_depth: 0,
         hidden: 0,
-        uniq: 0,
     };
     let mut path = Vec::new();
     let root = a.node(&bp.root, &mut path);
@@ -67,7 +62,6 @@ pub fn analyze_blueprint_report(bp: &Blueprint, ctx: &mut dyn LintContext) -> An
     AnalysisReport {
         diagnostics: diags,
         interpositions: a.interpositions.into_iter().map(|(n, _)| n).collect(),
-        libraries: a.libs.into_iter().map(|l| l.name).collect(),
     }
 }
 
@@ -121,7 +115,6 @@ struct Analyzer<'a> {
     meta_span: Option<Span>,
     meta_depth: usize,
     hidden: usize,
-    uniq: usize,
 }
 
 impl Analyzer<'_> {
@@ -445,12 +438,11 @@ impl Analyzer<'_> {
     /// Folds `src` into `dst` under merge (`override_conflicts: false`)
     /// or override (`true`) rules: sections are appended (keeping the
     /// footprint right) and symbol entries replay the insert upgrade
-    /// rules. `src`'s locals are uniquified so they cannot capture
-    /// another operand's names, but *not* with the merge engine's
-    /// naming: one counter runs across the whole analysis and `dst`'s
-    /// locals are never renamed again, so skeleton local names differ
-    /// from evaluated ones. Verdicts agree unless an operand defines a
-    /// global spelled like a `$u<k>` local name.
+    /// rules. Locals are renamed as the merge engine renames them
+    /// (`omos_module::MergeBuilder`): first every local of `dst`, then
+    /// every local of `src`, each to the first free `name$u<k>` of one
+    /// counter per step. So a local can neither capture nor collide
+    /// with another operand's global of the same name.
     fn fuse(
         &mut self,
         dst: &mut NodeState,
@@ -458,29 +450,51 @@ impl Analyzer<'_> {
         override_conflicts: bool,
         span: Option<Span>,
     ) {
-        let base = dst.obj.sections.len();
-        let mut local_rename: Vec<(String, String)> = Vec::new();
-        for sym in src.obj.symbols.iter() {
-            if sym.binding == SymbolBinding::Local {
-                let fresh = loop {
-                    let candidate = format!("{}$u{}", sym.name, self.uniq);
-                    self.uniq += 1;
-                    if dst.obj.symbols.get(&candidate).is_none()
-                        && src.obj.symbols.get(&candidate).is_none()
-                    {
-                        break candidate;
-                    }
-                };
-                local_rename.push((sym.name.clone(), fresh));
+        let mut uniq = 0usize;
+        // `dst`'s locals, against its names before this step.
+        let table = &dst.obj.symbols;
+        let dst_renames: Vec<(usize, String)> = table
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.binding == SymbolBinding::Local)
+            .map(|(e, s)| {
+                (
+                    e,
+                    fresh_local(&s.name, &mut uniq, |c| table.get(c).is_none()),
+                )
+            })
+            .collect();
+        if !dst_renames.is_empty() {
+            let mut renamed: HashMap<String, String> = HashMap::with_capacity(dst_renames.len());
+            for (e, fresh) in dst_renames {
+                renamed.insert(dst.obj.symbols[e].name.clone(), fresh.clone());
+                // Fresh names are unused, so the rename cannot fail.
+                let _ = dst.obj.symbols.rename_at(e, fresh);
+            }
+            for r in &mut dst.obj.relocs {
+                if let Some(fresh) = renamed.get(&r.symbol) {
+                    r.symbol.clone_from(fresh);
+                }
             }
         }
+        // `src`'s locals, against the renamed `dst` and `src`.
+        let mut local_rename: HashMap<&str, String> = HashMap::new();
+        for sym in src.obj.symbols.iter() {
+            if sym.binding == SymbolBinding::Local {
+                let fresh = fresh_local(&sym.name, &mut uniq, |c| {
+                    dst.obj.symbols.get(c).is_none() && src.obj.symbols.get(c).is_none()
+                });
+                local_rename.insert(&sym.name, fresh);
+            }
+        }
+        let base = dst.obj.sections.len();
         for sec in &src.obj.sections {
             dst.obj.sections.push(sec.clone());
         }
         for sym in src.obj.symbols.iter() {
             let mut s = sym.clone();
-            if let Some((_, fresh)) = local_rename.iter().find(|(o, _)| o == &s.name) {
-                s.name = fresh.clone();
+            if let Some(fresh) = local_rename.get(s.name.as_str()) {
+                s.name.clone_from(fresh);
             }
             if let SymbolDef::Defined { section, offset } = s.def {
                 s.def = SymbolDef::Defined {
@@ -511,8 +525,8 @@ impl Analyzer<'_> {
             }
         }
         for r in &src.obj.relocs {
-            let symbol = match local_rename.iter().find(|(o, _)| o == &r.symbol) {
-                Some((_, fresh)) => fresh.clone(),
+            let symbol = match local_rename.get(r.symbol.as_str()) {
+                Some(fresh) => fresh.clone(),
                 None => r.symbol.clone(),
             };
             dst.obj.relocs.push(Relocation {
@@ -1032,6 +1046,29 @@ mod tests {
 
     fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.code).collect()
+    }
+
+    /// `a.o` defines `_start` and a *local* `helper`; `b.o` a global
+    /// `helper`. The merge engine renames `a.o`'s local before appending
+    /// `b.o`, so a merge succeeds and an override replaces nothing.
+    #[test]
+    fn accumulator_local_does_not_collide_with_a_later_global() {
+        let mut ctx = TestCtx::default();
+        ctx.add_asm(
+            "/obj/a.o",
+            ".text\n.global _start\n_start: call helper\n sys 0\nhelper: ret\n",
+        );
+        ctx.add_asm("/obj/b.o", ".text\n.global helper\nhelper: ret\n");
+        let diags = lint(&mut ctx, "(merge /obj/a.o /obj/b.o)");
+        assert!(diags.is_empty(), "unexpected: {diags:?}");
+        let bp = Blueprint::parse("(override /obj/a.o /obj/b.o)").unwrap();
+        let report = analyze_blueprint_report(&bp, &mut ctx);
+        assert!(report.interpositions.is_empty(), "{report:?}");
+        // Nor does a later operand's reference bind to a.o's local:
+        // with no global `helper` in the merge it stays unresolved.
+        ctx.add_asm("/obj/c.o", ".text\n.global _c\n_c: call helper\n ret\n");
+        let diags = lint(&mut ctx, "(merge /obj/a.o /obj/c.o)");
+        assert_eq!(codes(&diags), ["OM002"], "{diags:?}");
     }
 
     #[test]

@@ -38,8 +38,7 @@ use omos_obj::encode::container::{self, ContainerKind};
 use omos_obj::encode::{Reader, Writer};
 use omos_obj::{fnv1a, ContentHash, ObjError, SectionKind};
 
-use crate::analyzer::analyze_blueprint_report;
-use crate::{Diagnostic, LintContext, Severity};
+use crate::{Diagnostic, Severity};
 
 /// Default client text base when no `constraint-list` pins it (programs
 /// overlap freely across tasks; only libraries need globally consistent
@@ -515,12 +514,11 @@ fn round_page(v: u64) -> u64 {
 pub fn derive_manifest(
     bp: &Blueprint,
     eval_ctx: &dyn EvalContext,
-    lint_ctx: &mut dyn LintContext,
     solver: &SolverState,
 ) -> Result<ResolutionManifest, String> {
     let mut out = eval_blueprint(bp, eval_ctx).map_err(|e| format!("eval failed: {e}"))?;
     crate::policy::apply_link_policies(bp, &mut out).map_err(|e| format!("{e}"))?;
-    derive_manifest_from_eval(bp, &out, lint_ctx, solver)
+    derive_manifest_from_eval(bp, &out, solver)
 }
 
 /// [`derive_manifest`] for a caller that already evaluated the
@@ -528,17 +526,18 @@ pub fn derive_manifest(
 /// ([`crate::policy::apply_link_policies`]) — the server's paths
 /// evaluate once, transform once, and feed the same output to both the
 /// manifest derivation and the link/relink executor, so the two can
-/// never see different modules.
+/// never see different modules. The interpositions are the ones the
+/// evaluation's merge engine decided ([`EvalOutput::interpositions`]).
 pub fn derive_manifest_from_eval(
     bp: &Blueprint,
     out: &EvalOutput,
-    lint_ctx: &mut dyn LintContext,
     solver: &SolverState,
 ) -> Result<ResolutionManifest, String> {
     let mut sv = PlacementSolver::import_state(solver);
 
     let mut externs: HashMap<String, u32> = HashMap::new();
-    let mut providers: HashMap<String, String> = HashMap::new();
+    // Each library's planned exports, for the binding fold.
+    let mut exports = Vec::with_capacity(out.libraries.len());
     let mut libraries = Vec::with_capacity(out.libraries.len());
     for lib in &out.libraries {
         let obj = lib
@@ -602,14 +601,12 @@ pub fn derive_manifest_from_eval(
         // Left-to-right, first-definition-wins extern fold ("all
         // definitions of variables must be made in the library furthest
         // downstream").
-        let mut syms: Vec<(String, u32)> = symbols.into_iter().collect();
-        syms.sort();
-        for (s, a) in syms {
-            if !externs.contains_key(&s) {
+        for (s, &a) in &symbols {
+            if !externs.contains_key(s) {
                 externs.insert(s.clone(), a);
-                providers.insert(s, lib.name.clone());
             }
         }
+        exports.push(symbols);
         libraries.push(LibraryResolution {
             name: lib.name.clone(),
             key: lib.key,
@@ -639,29 +636,13 @@ pub fn derive_manifest_from_eval(
     let prog_syms = layout_symbols(std::slice::from_ref(&prog_obj), &opts)
         .map_err(|e| format!("program layout failed: {e}"))?;
 
-    // The binding map: library exports first, then the client's own
-    // definitions (the program's internal definition wins over any
-    // extern for the client's references).
-    let mut map: BTreeMap<String, (String, u32)> = BTreeMap::new();
-    for (s, a) in &externs {
-        map.insert(s.clone(), (providers[s].clone(), *a));
+    let mut candidates = program_candidates(&prog_syms);
+    for (lib, syms) in out.libraries.iter().zip(&exports) {
+        candidates.extend(
+            syms.iter()
+                .map(|(s, &a)| (s.as_str(), lib.name.as_str(), a)),
+        );
     }
-    for (s, a) in prog_syms {
-        map.insert(s, (PROGRAM_PROVIDER.to_string(), a));
-    }
-    let bindings = map
-        .into_iter()
-        .map(|(symbol, (provider, addr))| Binding {
-            symbol,
-            provider,
-            addr,
-        })
-        .collect();
-
-    let report = analyze_blueprint_report(bp, lint_ctx);
-    let mut interpositions = report.interpositions;
-    interpositions.sort();
-    interpositions.dedup();
 
     Ok(ResolutionManifest {
         root: bp.hash(),
@@ -671,10 +652,42 @@ pub fn derive_manifest_from_eval(
             data_base,
             image_key: program_key,
         },
-        bindings,
-        interpositions,
+        bindings: bindings_of(candidates),
+        interpositions: out.interpositions.clone(),
         policies: bp.canonical_policies(),
     })
+}
+
+/// The program's own definitions as binding candidates, first in
+/// precedence: its internal definition wins over any extern for the
+/// client's references.
+#[must_use]
+pub fn program_candidates(symbols: &HashMap<String, u32>) -> Vec<(&str, &str, u32)> {
+    symbols
+        .iter()
+        .map(|(s, &a)| (s.as_str(), PROGRAM_PROVIDER, a))
+        .collect()
+}
+
+/// The manifest's binding rows from `(symbol, provider, addr)`
+/// candidates listed in precedence order — the program's definitions,
+/// then each library's exports in resolution order ("all definitions of
+/// variables must be made in the library furthest downstream"). The
+/// first candidate for a symbol binds it; rows come out sorted by
+/// symbol, and only they allocate.
+#[must_use]
+pub fn bindings_of(mut candidates: Vec<(&str, &str, u32)>) -> Vec<Binding> {
+    // Stable: a symbol's candidates keep their precedence order.
+    candidates.sort_by(|a, b| a.0.cmp(b.0));
+    candidates.dedup_by(|later, first| later.0 == first.0);
+    candidates
+        .into_iter()
+        .map(|(symbol, provider, addr)| Binding {
+            symbol: symbol.to_string(),
+            provider: provider.to_string(),
+            addr,
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -244,7 +244,7 @@ mod tests {
     use omos_blueprint::{eval_blueprint, EvalContext};
     use omos_isa::assemble;
     use omos_obj::ContentHash;
-    use std::collections::{BTreeSet, HashMap};
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     struct Ctx {
@@ -262,8 +262,6 @@ mod tests {
         fn cache_get(&self, _key: ContentHash) -> Option<CachedEval> {
             None
         }
-
-        fn cache_put(&self, _key: ContentHash, _module: &Module, _deps: &Arc<BTreeSet<String>>) {}
 
         fn register_dynamic_impl(
             &self,

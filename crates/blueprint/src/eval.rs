@@ -101,6 +101,10 @@ pub struct CachedEval {
     pub module: Module,
     /// Namespace paths the cached derivation resolved.
     pub deps: Arc<BTreeSet<String>>,
+    /// Names the `override`s the module was built from replaced, sorted
+    /// and deduplicated. Shared libraries under the subtree are not
+    /// included: a hit re-walks them and they contribute their own.
+    pub interpositions: Vec<String>,
 }
 
 /// Server services the evaluator needs.
@@ -118,8 +122,26 @@ pub trait EvalContext: Sync {
     fn cache_get(&self, key: ContentHash) -> Option<CachedEval>;
 
     /// Stores an evaluation result together with the namespace paths
-    /// its derivation resolved (its invalidation record).
-    fn cache_put(&self, key: ContentHash, module: &Module, deps: &Arc<BTreeSet<String>>);
+    /// its derivation resolved (its invalidation record). Does nothing
+    /// unless overridden; a context whose [`EvalContext::cache_get`]
+    /// serves rows implements [`EvalContext::cache_store`] instead.
+    fn cache_put(&self, _key: ContentHash, _module: &Module, _deps: &Arc<BTreeSet<String>>) {}
+
+    /// Stores an evaluation result as a cache row: the module, its
+    /// invalidation record and the row's
+    /// [`CachedEval::interpositions`]. The evaluator calls this one.
+    /// The default forwards to [`EvalContext::cache_put`], dropping the
+    /// names, which is right only for a context that serves no hits.
+    fn cache_store(
+        &self,
+        key: ContentHash,
+        module: &Module,
+        deps: &Arc<BTreeSet<String>>,
+        interpositions: &[String],
+    ) {
+        let _ = interpositions;
+        self.cache_put(key, module, deps);
+    }
 
     /// Registers a `lib-dynamic` implementation module, returning the
     /// library id the generated stubs will pass to `OMOS_LOOKUP`.
@@ -170,6 +192,11 @@ pub struct EvalOutput {
     /// Every namespace path the evaluation resolved (the request's
     /// invalidation record).
     pub deps: BTreeSet<String>,
+    /// Symbols whose definitions an `override` replaced, anywhere in the
+    /// graph (shared-library subtrees included), sorted and
+    /// deduplicated: the resolution manifest's interpositions, as the
+    /// merge engine decided them.
+    pub interpositions: Vec<String>,
 }
 
 struct Evaluator<'a> {
@@ -182,6 +209,13 @@ struct Evaluator<'a> {
     /// cache-missing subtree resolves, becoming that subtree's cache
     /// entry record when it completes (and folding into its parent).
     scopes: Vec<BTreeSet<String>>,
+    /// Names replaced by the overrides of the modules under evaluation,
+    /// as a stack: a cache-missing node's row names are what its
+    /// evaluation pushed.
+    interposed: Vec<String>,
+    /// Names replaced inside shared-library subtrees, which belong to no
+    /// enclosing client module.
+    lib_interposed: Vec<String>,
 }
 
 /// Evaluates a blueprint to a client module plus its library uses.
@@ -192,19 +226,31 @@ pub fn eval_blueprint(bp: &Blueprint, ctx: &dyn EvalContext) -> Result<EvalOutpu
         libraries: Vec::new(),
         visiting: Vec::new(),
         scopes: vec![BTreeSet::new()],
+        interposed: Vec::new(),
+        lib_interposed: Vec::new(),
     };
     let module = ev.node(&bp.root).map_err(|e| locate_error(e, bp))?;
     let mut deps = BTreeSet::new();
     for s in ev.scopes {
         deps.extend(s);
     }
+    ev.interposed.append(&mut ev.lib_interposed);
     Ok(EvalOutput {
         module,
         libraries: ev.libraries,
         constraints: bp.constraints.clone(),
         stats: ev.stats,
         deps,
+        interpositions: canonical_names(ev.interposed),
     })
+}
+
+/// Sorts and deduplicates interposition names, the form cache rows and
+/// [`EvalOutput::interpositions`] carry.
+pub(crate) fn canonical_names(mut names: Vec<String>) -> Vec<String> {
+    names.sort_unstable();
+    names.dedup();
+    names
 }
 
 impl Evaluator<'_> {
@@ -231,6 +277,7 @@ impl Evaluator<'_> {
             // into the enclosing scope so the result invalidates when any
             // of those paths change.
             self.fold_deps(&c.deps);
+            self.interposed.extend(c.interpositions);
             // Cached result for a subtree: library uses under it were
             // recorded when it was first evaluated and are re-declared by
             // re-walking only the library-introducing nodes.
@@ -238,9 +285,12 @@ impl Evaluator<'_> {
             return Ok(c.module);
         }
         self.scopes.push(BTreeSet::new());
+        let mark = self.interposed.len();
         let m = self.node_uncached(n)?;
         let deps = Arc::new(self.scopes.pop().expect("scope pushed above"));
-        self.ctx.cache_put(key, &m, &deps);
+        let names = canonical_names(self.interposed.drain(mark..).collect());
+        self.ctx.cache_store(key, &m, &deps, &names);
+        self.interposed.extend(names);
         self.fold_deps(&deps);
         Ok(m)
     }
@@ -276,7 +326,9 @@ impl Evaluator<'_> {
                 let ma = self.node(a)?;
                 let mb = self.node(b)?;
                 self.stats.merges += 1;
-                Ok(ma.override_with(&mb)?)
+                let (m, replaced) = ma.override_replacing(&mb)?;
+                self.interposed.extend(replaced);
+                Ok(m)
             }
             MNode::Rename {
                 pattern,
@@ -331,7 +383,7 @@ impl Evaluator<'_> {
                 kind: SpecKind::Constrained(cs),
                 operand,
             } => {
-                let module = self.node(operand)?;
+                let module = self.library_node(operand)?;
                 self.libraries.push(LibraryUse {
                     name: leaf_name(operand),
                     // Content-derived: rebuilding the library's fragments
@@ -348,7 +400,9 @@ impl Evaluator<'_> {
                 self.record(path);
                 match self.ctx.resolve(path)? {
                     ResolvedNode::Meta(bp) if !bp.constraints.is_empty() => {
+                        let mark = self.interposed.len();
                         let module = self.meta(path, &bp)?;
+                        self.take_library_names(mark);
                         self.libraries.push(LibraryUse {
                             name: path.clone(),
                             key: module.content_hash(),
@@ -362,6 +416,19 @@ impl Evaluator<'_> {
             }
             _ => Ok(None),
         }
+    }
+
+    /// Evaluates a `lib-constrained` operand: a library's module, whose
+    /// interpositions belong to no enclosing client module.
+    fn library_node(&mut self, operand: &MNode) -> Result<Module, EvalError> {
+        let mark = self.interposed.len();
+        let module = self.node(operand)?;
+        self.take_library_names(mark);
+        Ok(module)
+    }
+
+    fn take_library_names(&mut self, mark: usize) {
+        self.lib_interposed.extend(self.interposed.drain(mark..));
     }
 
     /// Re-declares library uses under an already-cached subtree without
@@ -540,12 +607,19 @@ pub(crate) mod tests {
             self.cache.lock().unwrap().get(&key).cloned()
         }
 
-        fn cache_put(&self, key: ContentHash, module: &Module, deps: &Arc<BTreeSet<String>>) {
+        fn cache_store(
+            &self,
+            key: ContentHash,
+            module: &Module,
+            deps: &Arc<BTreeSet<String>>,
+            interpositions: &[String],
+        ) {
             self.cache.lock().unwrap().insert(
                 key,
                 CachedEval {
                     module: module.clone(),
                     deps: Arc::clone(deps),
+                    interpositions: interpositions.to_vec(),
                 },
             );
         }
@@ -575,6 +649,55 @@ pub(crate) mod tests {
             ".text\n.global _puts\n_puts: li r1, 0\n ret\n",
         );
         ctx
+    }
+
+    /// [`ls_world`] plus `/lib/traced`, a library whose own graph
+    /// overrides stdio's `_puts`, and `/obj/local.o`, which has a
+    /// *local* spelled like that global.
+    pub(crate) fn override_world() -> TestCtx {
+        let mut ctx = ls_world();
+        ctx.add_asm(
+            "/obj/trace.o",
+            ".text\n.global _puts\n_puts: li r1, 1\n ret\n",
+        );
+        ctx.add_asm(
+            "/obj/local.o",
+            ".text\n.global _main\n_main: call _puts\n ret\n_puts: ret\n",
+        );
+        ctx.add_meta(
+            "/lib/traced",
+            "(constraint-list \"T\" 0x1000000)\n(override /libc/stdio.o /obj/trace.o)",
+        );
+        ctx
+    }
+
+    #[test]
+    fn overrides_report_what_they_replaced() {
+        let ctx = override_world();
+        // A local never conflicts: `/obj/local.o`'s `_puts` is renamed
+        // before stdio's global is appended.
+        let bp = Blueprint::parse("(override /obj/local.o /libc/stdio.o)").unwrap();
+        assert!(eval_blueprint(&bp, &ctx).unwrap().interpositions.is_empty());
+        // A library subtree's override counts; so does the client's, on
+        // a cold and on a warm cache alike.
+        let bp = Blueprint::parse(
+            "(merge (override (merge /obj/ls.o /libc/stdio.o) /obj/trace.o) /lib/traced)",
+        )
+        .unwrap();
+        let cold = eval_blueprint(&bp, &ctx).unwrap();
+        assert_eq!(cold.interpositions, ["_puts"]);
+        let warm = eval_blueprint(&bp, &ctx).unwrap();
+        assert_eq!(warm.stats.cache_hits, 2, "root and library rows hit");
+        assert_eq!(warm.interpositions, cold.interpositions);
+        // The root row carries the client's name only; the library's
+        // comes from its own row.
+        let root = ctx.cache_get(bp.root.hash()).unwrap();
+        assert_eq!(root.interpositions, ["_puts"]);
+        let bp = Blueprint::parse("(merge /obj/ls.o /lib/traced)").unwrap();
+        let lib_only = eval_blueprint(&bp, &ctx).unwrap();
+        assert_eq!(lib_only.interpositions, ["_puts"]);
+        let row = ctx.cache_get(bp.root.hash()).unwrap();
+        assert!(row.interpositions.is_empty(), "library names stay out");
     }
 
     #[test]

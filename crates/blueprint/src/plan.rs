@@ -48,8 +48,8 @@ use omos_obj::ContentHash;
 
 use crate::ast::{Blueprint, MNode, SpecKind};
 use crate::eval::{
-    cycle_chain, leaf_name, locate_error, EvalContext, EvalError, EvalOutput, EvalStats,
-    LibraryUse, ResolvedNode,
+    canonical_names, cycle_chain, leaf_name, locate_error, EvalContext, EvalError, EvalOutput,
+    EvalStats, LibraryUse, ResolvedNode,
 };
 use crate::source::compile_source;
 
@@ -64,8 +64,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Clone)]
 enum Op {
     /// A module available at plan time: a resolved leaf object or a
-    /// cache hit.
-    Ready(Module),
+    /// cache hit, with the row's interpositions.
+    Ready(Module, Vec<String>),
     /// One binary step of a merge chain.
     MergeStep {
         a: usize,
@@ -250,7 +250,13 @@ impl<'a> Planner<'a> {
         if let Some(c) = self.ctx.cache_get(key) {
             self.stats.cache_hits += 1;
             let deps = std::sync::Arc::clone(&c.deps);
-            let unit = self.push_unit(Op::Ready(c.module), Vec::new(), "cached".into(), 0, 0);
+            let unit = self.push_unit(
+                Op::Ready(c.module, c.interpositions),
+                Vec::new(),
+                "cached".into(),
+                0,
+                0,
+            );
             self.planned.insert(
                 key,
                 PlannedNode {
@@ -477,7 +483,7 @@ impl<'a> Planner<'a> {
             ResolvedNode::Object(obj) => {
                 self.stats.leaves += 1;
                 Ok(self.push_unit(
-                    Op::Ready(Module::from_arc(obj)),
+                    Op::Ready(Module::from_arc(obj), Vec::new()),
                     Vec::new(),
                     format!("leaf {path}"),
                     0,
@@ -552,12 +558,19 @@ impl<'a> Planner<'a> {
     }
 }
 
+/// A completed unit: its module and the interpositions it carries,
+/// sorted and deduplicated.
+struct Built {
+    module: Module,
+    interpositions: Vec<String>,
+}
+
 /// Shared state of one execution: result slots, dependency counters,
 /// per-worker deques, and the first (smallest-ordinal) error.
 struct Exec<'a> {
     units: &'a [Unit],
     ctx: &'a dyn EvalContext,
-    results: Vec<OnceLock<Module>>,
+    results: Vec<OnceLock<Built>>,
     pending: Vec<AtomicUsize>,
     dependents: Vec<Vec<usize>>,
     queues: Vec<Mutex<VecDeque<usize>>>,
@@ -625,11 +638,12 @@ impl<'a> Exec<'a> {
         if !discard {
             let outcome = catch_unwind(AssertUnwindSafe(|| self.compute(u)));
             match outcome {
-                Ok(Ok(m)) => {
+                Ok(Ok(b)) => {
                     for (key, deps) in &self.units[u].puts {
-                        self.ctx.cache_put(*key, &m, deps);
+                        self.ctx
+                            .cache_store(*key, &b.module, deps, &b.interpositions);
                     }
-                    let _ = self.results[u].set(m);
+                    let _ = self.results[u].set(b);
                 }
                 Ok(Err(e)) => self.set_error(u, e),
                 Err(panic) => self.set_error(u, EvalError::Worker(panic_message(&*panic))),
@@ -656,40 +670,53 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn result(&self, u: usize) -> &Module {
+    fn built(&self, u: usize) -> &Built {
         self.results[u].get().expect("dependency unit completed")
     }
 
-    fn compute(&self, u: usize) -> Result<Module, EvalError> {
+    fn result(&self, u: usize) -> &Module {
+        &self.built(u).module
+    }
+
+    /// Computes unit `u`: its module, and the interpositions of the
+    /// operands it is built from plus its own override's, so a cache row
+    /// carries the same names the sequential evaluator gives it.
+    fn compute(&self, u: usize) -> Result<Built, EvalError> {
         if self.fail_unit == Some(u) && self.fail_armed.swap(false, Ordering::AcqRel) {
             panic!("injected work-unit panic");
         }
-        match &self.units[u].op {
-            Op::Ready(m) => Ok(m.clone()),
-            Op::MergeStep { a, b } => Ok(self.result(*a).merge_with(self.result(*b))?),
-            Op::OverrideStep { a, b } => Ok(self.result(*a).override_with(self.result(*b))?),
+        let op = &self.units[u].op;
+        let mut replaced = Vec::new();
+        let module = match op {
+            Op::Ready(m, _) => m.clone(),
+            Op::MergeStep { a, b } => self.result(*a).merge_with(self.result(*b))?,
+            Op::OverrideStep { a, b } => {
+                let (m, r) = self.result(*a).override_replacing(self.result(*b))?;
+                replaced = r;
+                m
+            }
             Op::Rename {
                 pattern,
                 replacement,
                 target,
                 operand,
-            } => Ok(self
+            } => self
                 .result(*operand)
-                .rename(pattern, replacement, *target)?),
-            Op::Hide { pattern, operand } => Ok(self.result(*operand).hide(pattern)?),
-            Op::Show { pattern, operand } => Ok(self.result(*operand).show(pattern)?),
-            Op::Restrict { pattern, operand } => Ok(self.result(*operand).restrict(pattern)?),
-            Op::Project { pattern, operand } => Ok(self.result(*operand).project(pattern)?),
+                .rename(pattern, replacement, *target)?,
+            Op::Hide { pattern, operand } => self.result(*operand).hide(pattern)?,
+            Op::Show { pattern, operand } => self.result(*operand).show(pattern)?,
+            Op::Restrict { pattern, operand } => self.result(*operand).restrict(pattern)?,
+            Op::Project { pattern, operand } => self.result(*operand).project(pattern)?,
             Op::CopyAs {
                 pattern,
                 replacement,
                 operand,
-            } => Ok(self.result(*operand).copy_as(pattern, replacement)?),
-            Op::Freeze { pattern, operand } => Ok(self.result(*operand).freeze(pattern)?),
-            Op::Initializers { operand } => Ok(self.result(*operand).initializers()?),
+            } => self.result(*operand).copy_as(pattern, replacement)?,
+            Op::Freeze { pattern, operand } => self.result(*operand).freeze(pattern)?,
+            Op::Initializers { operand } => self.result(*operand).initializers()?,
             Op::Source { lang, code } => {
                 let obj = compile_source(lang, code, "<source>")?;
-                Ok(Module::from_object(obj))
+                Module::from_object(obj)
             }
             Op::DynStubs { operand } => {
                 let impl_module = self.result(*operand);
@@ -697,9 +724,34 @@ impl<'a> Exec<'a> {
                 let lib_id = self.ctx.register_dynamic_impl(key, impl_module)?;
                 let mut exports = impl_module.exports()?;
                 exports.sort();
-                Ok(Module::from_object(make_partial_stubs(lib_id, &exports)))
+                Module::from_object(make_partial_stubs(lib_id, &exports))
             }
+        };
+        // Operands only: a stub unit's ordering edge to the previous
+        // `lib-dynamic` unit carries no names.
+        let operands: &[usize] = match op {
+            Op::Ready(..) | Op::Source { .. } => &[],
+            Op::MergeStep { a, b } | Op::OverrideStep { a, b } => &[*a, *b],
+            Op::Rename { operand, .. }
+            | Op::Hide { operand, .. }
+            | Op::Show { operand, .. }
+            | Op::Restrict { operand, .. }
+            | Op::Project { operand, .. }
+            | Op::CopyAs { operand, .. }
+            | Op::Freeze { operand, .. }
+            | Op::Initializers { operand }
+            | Op::DynStubs { operand } => std::slice::from_ref(operand),
+        };
+        if let Op::Ready(_, names) = op {
+            replaced.extend_from_slice(names);
         }
+        for &o in operands {
+            replaced.extend_from_slice(&self.built(o).interpositions);
+        }
+        Ok(Built {
+            module,
+            interpositions: canonical_names(replaced),
+        })
     }
 }
 
@@ -714,13 +766,13 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Executes a plan on `workers` scoped threads; returns every unit's
-/// module, or the smallest-ordinal error.
+/// result, or the smallest-ordinal error.
 fn execute(
     units: &[Unit],
     ctx: &dyn EvalContext,
     workers: usize,
     fail_unit: Option<usize>,
-) -> Result<Vec<Module>, EvalError> {
+) -> Result<Vec<Built>, EvalError> {
     let n = units.len();
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut pending: Vec<AtomicUsize> = Vec::with_capacity(n);
@@ -793,11 +845,13 @@ pub fn eval_blueprint_parallel(
     let results = execute(&planner.units, ctx, jobs, fail_unit).map_err(|e| locate_error(e, bp))?;
     let root_unit = plan.map_err(|e| locate_error(e, bp))?;
 
+    let mut interpositions = results[root_unit].interpositions.clone();
     let libraries = planner
         .libraries
         .iter()
         .map(|(name, unit, constraints)| {
-            let module = results[*unit].clone();
+            interpositions.extend_from_slice(&results[*unit].interpositions);
+            let module = results[*unit].module.clone();
             LibraryUse {
                 name: name.clone(),
                 key: module.content_hash(),
@@ -822,11 +876,12 @@ pub fn eval_blueprint_parallel(
         .collect();
     Ok(ParallelOutput {
         output: EvalOutput {
-            module: results[root_unit].clone(),
+            module: results[root_unit].module.clone(),
             libraries,
             constraints: bp.constraints.clone(),
             stats: planner.stats,
             deps,
+            interpositions: canonical_names(interpositions),
         },
         units,
     })
@@ -912,6 +967,10 @@ mod tests {
             assert_eq!(seq.stats, par.output.stats, "stats at jobs={jobs}");
             assert_eq!(seq.deps, par.output.deps, "deps at jobs={jobs}");
             assert_eq!(
+                seq.interpositions, par.output.interpositions,
+                "interpositions at jobs={jobs}"
+            );
+            assert_eq!(
                 seq.libraries.len(),
                 par.output.libraries.len(),
                 "library count at jobs={jobs}"
@@ -945,6 +1004,29 @@ mod tests {
                 ctx
             },
         );
+    }
+
+    #[test]
+    fn parallel_matches_sequential_interpositions() {
+        let src = r#"(merge (override /obj/ls.o /obj/puts2.o) /lib/traced)"#;
+        let build = || {
+            let mut ctx = crate::eval::tests::override_world();
+            ctx.add_asm("/obj/puts2.o", ".text\n.global _start\n_start: sys 0\n");
+            ctx
+        };
+        assert_matches_sequential(src, build);
+        // Warm: the second evaluation of each side is served from rows.
+        let bp = Blueprint::parse(src).unwrap();
+        let (seq_ctx, par_ctx) = (build(), build());
+        let cold = eval_blueprint(&bp, &seq_ctx).unwrap();
+        assert_eq!(cold.interpositions, ["_puts", "_start"]);
+        let warm = eval_blueprint_parallel(&bp, &seq_ctx, 4).unwrap();
+        assert!(warm.output.stats.cache_hits > 0);
+        assert_eq!(warm.output.interpositions, cold.interpositions);
+        let _ = eval_blueprint_parallel(&bp, &par_ctx, 4).unwrap();
+        let warm = eval_blueprint(&bp, &par_ctx).unwrap();
+        assert!(warm.stats.cache_hits > 0);
+        assert_eq!(warm.interpositions, cold.interpositions);
     }
 
     #[test]

@@ -41,10 +41,11 @@
 //!   lose at most a bind that was never acknowledged. Replay tolerates
 //!   a torn tail and resynchronizes past damaged records
 //!   ([`omos_obj::encode::container::scan_frames`]).
-//! * **Replies restore at the pre-replay generation.** Restored reply
-//!   rows are installed at the generation the manifest's bindings
-//!   rebuilt, so a journal record that rebinds one of their dependency
-//!   paths lazily invalidates exactly those rows on first probe.
+//! * **Replies restore at the post-replay generation.** Each reply row
+//!   is verified against a manifest re-derived from the namespace as
+//!   journal replay left it, and is installed at that generation: a
+//!   verified row is valid now, and only a later bind of one of its
+//!   dependency paths invalidates it.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;

@@ -40,13 +40,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use omos_analysis::manifest::{
-    derive_manifest, derive_manifest_from_eval, Binding, LibraryResolution, ProgramResolution,
-    ResolutionManifest, PROGRAM_PROVIDER,
+    bindings_of, derive_manifest, derive_manifest_from_eval, program_candidates, LibraryResolution,
+    ProgramResolution, ResolutionManifest,
 };
 use omos_analysis::relink::{plan_relink, LibAction};
 use omos_analysis::{
-    analyze_blueprint, analyze_blueprint_report, apply_link_policies, Diagnostic, LintContext,
-    LintResolved, PolicyError, Severity,
+    analyze_blueprint, apply_link_policies, Diagnostic, LintContext, LintResolved, PolicyError,
+    Severity,
 };
 use omos_blueprint::eval::LibraryUse;
 use omos_blueprint::{
@@ -54,7 +54,7 @@ use omos_blueprint::{
     EvalOutput, EvalStats, MNode, ResolvedNode, UnitReport,
 };
 use omos_constraint::{PlacementRequest, PlacementSolver, RegionClass, SegmentRequest};
-use omos_link::{layout_symbols, link, FunctionHashTable, LinkOptions, LinkStats};
+use omos_link::{layout_symbols, link, FunctionHashTable, LinkOptions, LinkOutput, LinkStats};
 use omos_module::Module;
 use omos_obj::{ContentHash, ObjectFile, SectionKind};
 use omos_os::ipc::{ImageDescriptor, ReplyShape, Transport};
@@ -179,12 +179,16 @@ impl InstantiateReply {
 }
 
 /// A cached evaluated module plus the namespace paths it was derived
-/// from and the generation it was derived at.
+/// from, the generation it was derived at and the names its overrides
+/// replaced ([`CachedEval::interpositions`]).
 #[derive(Debug)]
 struct EvalEntry {
     module: Module,
     deps: Arc<BTreeSet<String>>,
     gen: u64,
+    /// `None` when empty, as nearly every row is: a thin pointer keeps
+    /// the row in the allocation size class it had without the names.
+    interpositions: Option<Arc<Vec<String>>>,
 }
 
 /// A cached full reply plus its dependency record. `pub(crate)` so the
@@ -754,7 +758,7 @@ impl Omos {
         let manifest = self.manifest_from_actuals(
             bp,
             key,
-            &out.libraries,
+            &out,
             &libraries,
             &bases,
             &program,
@@ -776,7 +780,8 @@ impl Omos {
 
     /// Builds the resolution manifest from what the build *actually*
     /// produced: placed bases from the solver, export addresses from
-    /// the bound images, image keys from the cache entries. The
+    /// the bound images, image keys from the cache entries, and the
+    /// interpositions the evaluation's merge engine decided. The
     /// statically derived manifest ([`derive_manifest`]) must agree
     /// byte-for-byte — the differential tests compare the two with
     /// [`divergence`].
@@ -785,12 +790,13 @@ impl Omos {
         &self,
         bp: &Blueprint,
         key: ContentHash,
-        uses: &[LibraryUse],
+        out: &EvalOutput,
         libraries: &[Arc<CachedImage>],
         bases: &[(u32, u32)],
         program: &Arc<CachedImage>,
         client: (u32, u32),
     ) -> ResolutionManifest {
+        let uses = &out.libraries;
         let mut lib_res = Vec::with_capacity(libraries.len());
         for ((u, img), &(text_base, data_base)) in uses.iter().zip(libraries).zip(bases) {
             lib_res.push(LibraryResolution {
@@ -801,31 +807,15 @@ impl Omos {
                 image_key: img.key,
             });
         }
-        // First-definition-wins fold in library order, then the
-        // client's own definitions override (its internal resolution
-        // beats any extern).
-        let mut map: std::collections::BTreeMap<String, (String, u32)> =
-            std::collections::BTreeMap::new();
+        let mut candidates = program_candidates(&program.image.symbols);
         for (u, img) in uses.iter().zip(libraries) {
-            for (s, a) in &img.image.symbols {
-                map.entry(s.clone()).or_insert((u.name.clone(), *a));
-            }
+            candidates.extend(
+                img.image
+                    .symbols
+                    .iter()
+                    .map(|(s, &a)| (s.as_str(), u.name.as_str(), a)),
+            );
         }
-        for (s, a) in &program.image.symbols {
-            map.insert(s.clone(), (PROGRAM_PROVIDER.to_string(), *a));
-        }
-        let bindings = map
-            .into_iter()
-            .map(|(symbol, (provider, addr))| Binding {
-                symbol,
-                provider,
-                addr,
-            })
-            .collect();
-        let report = analyze_blueprint_report(bp, &mut NamespaceLint(&self.namespace));
-        let mut interpositions = report.interpositions;
-        interpositions.sort();
-        interpositions.dedup();
         ResolutionManifest {
             root: key,
             libraries: lib_res,
@@ -834,8 +824,8 @@ impl Omos {
                 data_base: client.1,
                 image_key: program.key,
             },
-            bindings,
-            interpositions,
+            bindings: bindings_of(candidates),
+            interpositions: out.interpositions.clone(),
             policies: bp.canonical_policies(),
         }
     }
@@ -892,8 +882,7 @@ impl Omos {
 
         let derived = {
             let state = self.solver().export_state();
-            let mut lint = NamespaceLint(&self.namespace);
-            derive_manifest_from_eval(bp, &out, &mut lint, &state).ok()?
+            derive_manifest_from_eval(bp, &out, &state).ok()?
         };
         if derived.libraries.len() != out.libraries.len() {
             return None;
@@ -1030,7 +1019,7 @@ impl Omos {
         let manifest = self.manifest_from_actuals(
             bp,
             key,
-            &out.libraries,
+            &out,
             &libraries,
             &bases,
             &program,
@@ -1065,8 +1054,7 @@ impl Omos {
     pub fn explain_blueprint(&self, bp: &Blueprint) -> Result<ResolutionManifest, OmosError> {
         let ctx = ReqCtx::new(self);
         let state = self.solver().export_state();
-        let mut lint = NamespaceLint(&self.namespace);
-        derive_manifest(bp, &ctx, &mut lint, &state).map_err(OmosError::Client)
+        derive_manifest(bp, &ctx, &state).map_err(OmosError::Client)
     }
 
     /// [`Omos::explain_blueprint`] for the meta-object (or bare
@@ -1149,8 +1137,12 @@ impl Omos {
         }
 
         // Link whatever wasn't cached, concurrently: workers claim
-        // items off a shared cursor and coalesce through the
-        // single-flight image cache. Worker threads carry no
+        // items off a shared cursor, and a link and its framing touch
+        // no shared state. The images are then installed on this
+        // thread in *library order* — so the cache sees the same
+        // insertion order (epochs, eviction victims) whatever order the
+        // links complete in — and the first error in library order is
+        // surfaced, as on the sequential path. Worker threads carry no
         // per-request trace state, so the work is metered onto the
         // request timeline afterwards, as sibling lane spans.
         let work: Vec<(usize, ObjectFile, LinkOptions, ContentHash)> = prepared
@@ -1162,31 +1154,37 @@ impl Omos {
         let mut linked_by_key: HashMap<ContentHash, Arc<CachedImage>> = HashMap::new();
         if !work.is_empty() {
             let cursor = AtomicUsize::new(0);
-            type LinkResult = Result<(Arc<CachedImage>, u64), OmosError>;
-            let results: Mutex<Vec<(usize, LinkResult)>> =
-                Mutex::new(Vec::with_capacity(work.len()));
+            let slots: Vec<Mutex<Option<LinkedLib>>> =
+                work.iter().map(|_| Mutex::new(None)).collect();
             std::thread::scope(|s| {
                 for _ in 0..jobs.min(work.len()) {
                     s.spawn(|| loop {
                         let at = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((idx, obj, opts, image_key)) = work.get(at) else {
+                        let Some((_, obj, opts, _)) = work.get(at) else {
                             break;
                         };
-                        let r = self.link_prepared(obj, opts, *image_key);
-                        lock(&results).push((*idx, r));
+                        let linked = link(std::slice::from_ref(obj), opts).map(|l| {
+                            let frames = ImageFrames::from_image(&l.image);
+                            (l, frames)
+                        });
+                        *lock(&slots[at]) = Some(linked);
                     });
                 }
             });
-            let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-            // Surface the first error in *library order*, not
-            // completion order, so failures match the sequential path.
-            results.sort_by_key(|(i, _)| *i);
-            for (idx, r) in results {
-                let (img, ns) = r?;
-                link_ns[idx] = ns;
+            for ((idx, _, _, image_key), slot) in work.iter().zip(slots) {
+                let linked = slot
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .ok_or_else(|| OmosError::Client("library link did not run".into()))??;
+                // The install ends the link unit, so it stays off the
+                // request timeline like the link itself.
+                let (img, ns) = self
+                    .tracer
+                    .detached(|| self.install_linked(*image_key, linked))?;
+                link_ns[*idx] = ns;
                 // Hold the Arc: probing the cache again below would
                 // race a tight budget that already evicted the image.
-                linked_by_key.insert(prepared[idx].image_key, img);
+                linked_by_key.insert(*image_key, img);
             }
         }
         let (slots, link_makespan) = schedule_independent(&link_ns, jobs);
@@ -1241,7 +1239,7 @@ impl Omos {
         let manifest = self.manifest_from_actuals(
             bp,
             key,
-            &out.libraries,
+            &out,
             &libraries,
             &bases,
             &program,
@@ -1548,28 +1546,31 @@ impl Omos {
         })
     }
 
-    /// Links one prepared library image (single-flight per image key).
-    /// Runs on link worker threads, where per-request trace state is
-    /// absent — the caller meters the returned work onto the request
-    /// timeline instead.
-    fn link_prepared(
+    /// Installs one library image linked and framed on a link worker
+    /// (single-flight per image key, like every image build): an image
+    /// a concurrent request installed first is shared at zero cost, as
+    /// a cache hit would be, and this link is dropped.
+    fn install_linked(
         &self,
-        obj: &ObjectFile,
-        opts: &LinkOptions,
         image_key: ContentHash,
+        (linked, frames): (LinkOutput, ImageFrames),
     ) -> Result<(Arc<CachedImage>, u64), OmosError> {
+        let parts = std::cell::Cell::new(Some((linked, frames)));
         let (result, _led) = self.image_flight.run(image_key, || {
             if let Some(img) = self.images.get(image_key) {
                 return Ok((img, 0));
             }
-            let linked = link(std::slice::from_ref(obj), opts)?;
+            // A flight runs its leader's closure once.
+            let (linked, frames) = parts
+                .take()
+                .ok_or_else(|| OmosError::Client("library image installed twice".into()))?;
             let ns = link_work_ns(&linked.stats, &self.cost);
             self.counters
                 .libraries_built
                 .fetch_add(1, Ordering::Relaxed);
             let img = self.images.insert(CachedImage {
                 key: image_key,
-                frames: self.framed(&linked.image),
+                frames,
                 image: linked.image,
                 link_stats: linked.stats,
                 rebuild_ns: ns,
@@ -1658,9 +1659,8 @@ impl Omos {
 }
 
 /// [`LintContext`] over the server namespace: read-only resolution, a
-/// missing name is a finding rather than an abort. `pub(crate)` so the
-/// persistence layer can re-derive manifests at restore time.
-pub(crate) struct NamespaceLint<'a>(pub(crate) &'a Namespace);
+/// missing name is a finding rather than an abort.
+struct NamespaceLint<'a>(&'a Namespace);
 
 impl LintContext for NamespaceLint<'_> {
     fn resolve(&mut self, path: &str) -> LintResolved {
@@ -1718,6 +1718,7 @@ impl EvalContext for ReqCtx<'_> {
                 Some(CachedEval {
                     module: entry.module.clone(),
                     deps: Arc::clone(&entry.deps),
+                    interpositions: entry.interpositions.as_deref().cloned().unwrap_or_default(),
                 })
             }
             Some(stale) => {
@@ -1740,13 +1741,21 @@ impl EvalContext for ReqCtx<'_> {
         }
     }
 
-    fn cache_put(&self, key: ContentHash, module: &Module, deps: &Arc<BTreeSet<String>>) {
+    fn cache_store(
+        &self,
+        key: ContentHash,
+        module: &Module,
+        deps: &Arc<BTreeSet<String>>,
+        interpositions: &[String],
+    ) {
         self.server.eval_cache.insert(
             key,
             EvalEntry {
                 module: module.clone(),
                 deps: Arc::clone(deps),
                 gen: self.gen,
+                interpositions: (!interpositions.is_empty())
+                    .then(|| Arc::new(interpositions.to_vec())),
             },
         );
     }
@@ -1755,6 +1764,9 @@ impl EvalContext for ReqCtx<'_> {
         Ok(self.server.register_dynamic(key, module))
     }
 }
+
+/// A library linked and framed on a link worker, before installation.
+type LinkedLib = Result<(LinkOutput, ImageFrames), omos_link::LinkError>;
 
 /// One library readied for the concurrent link phase: placed, keyed,
 /// and with its planned export map already derived from layout.

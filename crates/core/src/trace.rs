@@ -853,6 +853,22 @@ impl Tracer {
         }
     }
 
+    /// Runs `f` outside the calling thread's request context: counters
+    /// and histograms record as usual, but no span or instant lands on
+    /// a request timeline — as for work on a worker thread, which the
+    /// caller meters onto the timeline itself.
+    pub fn detached<T>(&self, f: impl FnOnce() -> T) -> T {
+        struct Restore(Vec<ReqState>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let saved = std::mem::take(&mut self.0);
+                ACTIVE.with(|a| *a.borrow_mut() = saved);
+            }
+        }
+        let _restore = Restore(ACTIVE.with(|a| std::mem::take(&mut *a.borrow_mut())));
+        f()
+    }
+
     /// Opens a nested interval span at the current cursor.
     pub fn open(&self, kind: SpanKind) -> OpenSpan {
         let state = if self.enabled() {

@@ -23,7 +23,7 @@ mod initializers;
 mod merge;
 
 pub use initializers::{emitted_bytes, emitted_insts, generate_initializers};
-pub use merge::MergeBuilder;
+pub use merge::{fresh_local, MergeBuilder};
 
 use merge::Acc;
 
@@ -210,10 +210,17 @@ impl Module {
 
     /// `override`: merge resolving conflicts in favor of `other`.
     pub fn override_with(&self, other: &Module) -> Result<Module> {
+        self.override_replacing(other).map(|(m, _)| m)
+    }
+
+    /// [`Module::override_with`], also returning the names whose
+    /// definitions `other` replaced (see [`MergeBuilder::replaced`]).
+    pub fn override_replacing(&self, other: &Module) -> Result<(Module, Vec<String>)> {
         let mut merged = MergeBuilder::new();
         merged.push(self)?;
         merged.push_override(other)?;
-        merged.finish()
+        let replaced = merged.replaced().to_vec();
+        Ok((merged.finish()?, replaced))
     }
 
     /// n-ary `merge`, defined as the left fold of [`Module::merge_with`]

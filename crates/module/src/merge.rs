@@ -89,9 +89,22 @@ impl MergeBuilder {
     }
 
     /// Appends an operand under `override` rules: a definition conflict
-    /// resolves in favor of `m`.
+    /// resolves in favor of `m`, and the name joins
+    /// [`MergeBuilder::replaced`].
     pub fn push_override(&mut self, m: &Module) -> Result<()> {
         self.push_as(m, MergeMode::Override)
+    }
+
+    /// Names whose definitions an `override` push replaced, in the order
+    /// the conflicts were decided: the merge's interpositions. A local
+    /// never conflicts (every operand's locals are renamed first), so
+    /// only global def-def conflicts appear here.
+    #[must_use]
+    pub fn replaced(&self) -> &[String] {
+        match &self.stage {
+            Stage::Merging(acc) => &acc.replaced,
+            Stage::Empty | Stage::First(_) => &[],
+        }
     }
 
     fn push_as(&mut self, m: &Module, mode: MergeMode) -> Result<()> {
@@ -142,6 +155,8 @@ pub(crate) struct Acc {
     touched: Vec<usize>,
     /// Relocations before this index are validated.
     relocs_checked: usize,
+    /// Names whose definitions an override conflict replaced.
+    replaced: Vec<String>,
 }
 
 impl Acc {
@@ -157,6 +172,7 @@ impl Acc {
             dangling: (0..out.relocs.len()).collect(),
             touched: (0..out.symbols.len()).collect(),
             relocs_checked: 0,
+            replaced: Vec::new(),
             out,
         };
         acc.bind_dangling();
@@ -232,6 +248,7 @@ impl Acc {
                 && s.def.is_definition()
                 && at.is_some_and(|e| self.out.symbols[e].def.is_definition());
             if conflict {
+                self.replaced.push(s.name.clone());
                 self.out.symbols.insert_override(s);
             } else {
                 self.out.symbols.insert(s)?;
@@ -302,8 +319,10 @@ impl Acc {
 }
 
 /// The next `name$u<uniq>` candidate that `free` accepts, advancing
-/// `uniq` past every candidate tried.
-fn fresh_local(name: &str, uniq: &mut usize, free: impl Fn(&str) -> bool) -> String {
+/// `uniq` past every candidate tried: the naming step of the
+/// local-naming contract (see the module docs), shared with the static
+/// analyzer's skeleton merges.
+pub fn fresh_local(name: &str, uniq: &mut usize, free: impl Fn(&str) -> bool) -> String {
     loop {
         let candidate = format!("{name}$u{uniq}");
         *uniq += 1;
@@ -381,6 +400,35 @@ mod tests {
         let out = merged.finish().unwrap();
         assert_eq!(out.view().op_count(), 1);
         assert_eq!(out.content_hash(), m.content_hash());
+    }
+
+    #[test]
+    fn override_reports_only_global_conflicts() {
+        // a.o's `helper` is local: it is renamed before b.o's global
+        // `helper` is appended, so nothing is replaced.
+        let a = Module::from_object(
+            assemble(
+                "a.o",
+                ".text\n.global _start, _draw\n_start: call helper\n sys 0\n_draw: ret\nhelper: ret\n",
+            )
+            .expect("assembles"),
+        );
+        let b = Module::from_object(
+            assemble(
+                "b.o",
+                ".text\n.global helper, _draw\nhelper: ret\n_draw: ret\n",
+            )
+            .expect("assembles"),
+        );
+        let (m, replaced) = a.override_replacing(&b).unwrap();
+        assert_eq!(replaced, ["_draw"]);
+        let mut merged = MergeBuilder::new();
+        merged.push(&a).unwrap();
+        assert!(merged.replaced().is_empty());
+        merged.push_override(&b).unwrap();
+        assert_eq!(merged.replaced(), replaced);
+        assert_eq!(merged.finish().unwrap().content_hash(), m.content_hash());
+        assert!(a.merge_with(&b).is_err(), "`_draw` is a strict conflict");
     }
 
     #[test]

@@ -6,7 +6,13 @@
 //! produces. These properties are checked over randomized m-graphs
 //! drawn from a small world of object files.
 //!
-//! The second half checks the *cost* claim: analysis never materializes
+//! The interposition differential holds the two engines to one
+//! `override` semantics: every graph that evaluates reports, through
+//! the merge engine, exactly the replaced names the analyzer's symbolic
+//! walk reports — on a cold and a warm eval cache, sequentially and on
+//! the parallel executor.
+//!
+//! The last part checks the *cost* claim: analysis never materializes
 //! a view (observed through the per-thread materialize counter) and is
 //! measurably cheaper than evaluation on byte-heavy inputs.
 
@@ -15,13 +21,18 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use omos::analysis::{analyze_blueprint, Diagnostic, LintContext, LintResolved, Severity};
+use omos::analysis::{
+    analyze_blueprint, analyze_blueprint_report, Diagnostic, LintContext, LintResolved, Severity,
+};
 use omos::blueprint::eval::{CachedEval, EvalContext, ResolvedNode};
-use omos::blueprint::{eval_blueprint, Blueprint, EvalError};
+use omos::blueprint::{eval_blueprint, eval_blueprint_parallel, Blueprint, EvalError};
+use omos::core::Omos;
 use omos::isa::assemble;
 use omos::module::Module;
 use omos::obj::view::materialize_count;
 use omos::obj::{ContentHash, ObjError, ObjectFile, Section, SectionKind, Symbol};
+use omos::os::ipc::Transport;
+use omos::os::CostModel;
 
 /// One world serving both the evaluator and the analyzer. The eval
 /// side is `&self` (shared with parallel executor workers), so its
@@ -29,6 +40,7 @@ use omos::obj::{ContentHash, ObjError, ObjectFile, Section, SectionKind, Symbol}
 #[derive(Default)]
 struct World {
     objects: HashMap<String, Arc<ObjectFile>>,
+    metas: HashMap<String, Blueprint>,
     cache: Mutex<HashMap<ContentHash, CachedEval>>,
     dynamic: Mutex<Vec<ContentHash>>,
 }
@@ -40,13 +52,19 @@ impl World {
             Arc::new(assemble(path, src).expect("assembles")),
         );
     }
+
+    fn add_meta(&mut self, path: &str, src: &str) {
+        self.metas
+            .insert(path.to_string(), Blueprint::parse(src).expect("parses"));
+    }
 }
 
 impl EvalContext for World {
     fn resolve(&self, path: &str) -> Result<ResolvedNode, EvalError> {
-        match self.objects.get(path) {
-            Some(o) => Ok(ResolvedNode::Object(Arc::clone(o))),
-            None => Err(EvalError::Resolve(path.to_string())),
+        match (self.objects.get(path), self.metas.get(path)) {
+            (Some(o), _) => Ok(ResolvedNode::Object(Arc::clone(o))),
+            (None, Some(m)) => Ok(ResolvedNode::Meta(m.clone())),
+            (None, None) => Err(EvalError::Resolve(path.to_string())),
         }
     }
 
@@ -54,12 +72,19 @@ impl EvalContext for World {
         self.cache.lock().unwrap().get(&key).cloned()
     }
 
-    fn cache_put(&self, key: ContentHash, module: &Module, deps: &Arc<BTreeSet<String>>) {
+    fn cache_store(
+        &self,
+        key: ContentHash,
+        module: &Module,
+        deps: &Arc<BTreeSet<String>>,
+        interpositions: &[String],
+    ) {
         self.cache.lock().unwrap().insert(
             key,
             CachedEval {
                 module: module.clone(),
                 deps: Arc::clone(deps),
+                interpositions: interpositions.to_vec(),
             },
         );
     }
@@ -76,25 +101,35 @@ impl EvalContext for World {
 
 impl LintContext for World {
     fn resolve(&mut self, path: &str) -> LintResolved {
-        match self.objects.get(path) {
-            Some(o) => LintResolved::Object(Arc::clone(o)),
-            None => LintResolved::Missing,
+        match (self.objects.get(path), self.metas.get(path)) {
+            (Some(o), _) => LintResolved::Object(Arc::clone(o)),
+            (None, Some(m)) => LintResolved::Meta(m.clone()),
+            (None, None) => LintResolved::Missing,
         }
     }
 }
 
 /// `/o/a` defines `_a` (and calls `_b`), `/o/b` defines `_b`, `/o/dup`
 /// *also* defines `_a` — merging it with `/o/a` is the duplicate-def
-/// case. `/missing` resolves nowhere.
+/// case. `/o/loc` defines `_c` and a *local* `_b`, which neither
+/// collides with nor is replaced by `/o/b`'s global. `/lib/ov` is a
+/// shared library whose own graph overrides `/o/b`'s `_b` with
+/// `/o/b2`'s. `/missing` resolves nowhere.
 fn world() -> World {
     let mut w = World::default();
     w.add_asm("/o/a", ".text\n.global _a\n_a: call _b\n ret\n");
     w.add_asm("/o/b", ".text\n.global _b\n_b: ret\n");
     w.add_asm("/o/dup", ".text\n.global _a\n_a: li r1, 1\n ret\n");
+    w.add_asm("/o/loc", ".text\n.global _c\n_c: call _b\n ret\n_b: ret\n");
+    w.add_asm("/o/b2", ".text\n.global _b\n_b: li r1, 2\n ret\n");
+    w.add_meta(
+        "/lib/ov",
+        "(constraint-list \"T\" 0x1000000)\n(override /o/b /o/b2)",
+    );
     w
 }
 
-const LEAVES: [&str; 4] = ["/o/a", "/o/b", "/o/dup", "/missing"];
+const LEAVES: [&str; 5] = ["/o/a", "/o/b", "/o/dup", "/o/loc", "/missing"];
 const PATTERNS: [&str; 3] = ["^_a$", "^_b$", "^_zz$"];
 
 /// A random blueprint over the fixed world: a merge of 1–4 leaves,
@@ -276,12 +311,166 @@ proptest! {
     }
 }
 
+/// Operands of the interposition graphs: every leaf, the library, and
+/// `/o/b2` (a second `_b`).
+const OPERANDS: [&str; 7] = [
+    "/o/a", "/o/b", "/o/dup", "/o/loc", "/o/b2", "/lib/ov", "/missing",
+];
+
+/// A random m-graph of `merge` and `override` forms, at most three
+/// levels deep, over [`OPERANDS`].
+fn arb_override_graph() -> impl Strategy<Value = Blueprint> {
+    fn node(rng: &mut proptest::test_runner::TestRng, depth: u32) -> String {
+        match rng.below(if depth == 0 { 1 } else { 3 }) {
+            0 => OPERANDS[rng.below(OPERANDS.len() as u64) as usize].to_string(),
+            1 => {
+                let items: Vec<String> = (0..1 + rng.below(3))
+                    .map(|_| node(rng, depth - 1))
+                    .collect();
+                format!("(merge {})", items.join(" "))
+            }
+            _ => format!(
+                "(override {} {})",
+                node(rng, depth - 1),
+                node(rng, depth - 1)
+            ),
+        }
+    }
+    proptest::strategy::from_fn(|rng| {
+        let src = node(rng, 3);
+        Blueprint::parse(&src).expect("generated blueprint parses")
+    })
+}
+
+/// The analyzer's interposition chain in the manifest's canonical form.
+fn analyzer_interpositions(bp: &Blueprint, w: &mut World) -> Vec<String> {
+    let mut names = analyze_blueprint_report(bp, w).interpositions;
+    names.sort();
+    names.dedup();
+    names
+}
+
+/// Evaluation parallelism under test: the sequential evaluator, the
+/// parallel executor at 1 and 4 workers, and `OMOS_EVAL_JOBS` when set.
+fn eval_jobs() -> Vec<usize> {
+    let mut jobs = vec![0, 1, 4];
+    if let Some(j) = std::env::var("OMOS_EVAL_JOBS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+    {
+        jobs.push(j);
+    }
+    jobs
+}
+
+/// Evaluates at `jobs` (0: the sequential evaluator) and returns the
+/// interpositions, or `None` when the graph does not evaluate.
+fn eval_interpositions(bp: &Blueprint, w: &World, jobs: usize) -> Option<Vec<String>> {
+    if jobs == 0 {
+        eval_blueprint(bp, w).ok().map(|o| o.interpositions)
+    } else {
+        eval_blueprint_parallel(bp, w, jobs)
+            .ok()
+            .map(|p| p.output.interpositions)
+    }
+}
+
+proptest! {
+    /// For every graph that evaluates, the merge engine's interpositions
+    /// equal the analyzer's: with a cold eval cache and again with the
+    /// rows the first evaluation left, at every evaluation parallelism.
+    #[test]
+    fn eval_interpositions_equal_the_analyzers(bp in arb_override_graph()) {
+        let mut w = world();
+        let expected = analyzer_interpositions(&bp, &mut w);
+        for jobs in eval_jobs() {
+            let w = world();
+            let Some(cold) = eval_interpositions(&bp, &w, jobs) else {
+                continue;
+            };
+            prop_assert_eq!(&cold, &expected, "cold cache, jobs {}", jobs);
+            let warm = eval_interpositions(&bp, &w, jobs).expect("evaluated cold");
+            prop_assert_eq!(&warm, &expected, "warm cache, jobs {}", jobs);
+            // Rows one engine left serve the other.
+            let other = eval_interpositions(&bp, &w, if jobs == 0 { 4 } else { 0 });
+            prop_assert_eq!(other.as_ref(), Some(&expected), "rows across engines, jobs {}", jobs);
+        }
+    }
+}
+
+/// The generator reaches the interesting cases: a library subtree's
+/// override, a client override, and an override of a global by a name
+/// an operand also holds as a local.
+#[test]
+fn interposition_corpus_covers_libraries_and_locals() {
+    let cases = [
+        ("(merge /o/b (override /o/a /o/dup))", vec!["_a"]),
+        ("(merge /o/a /lib/ov)", vec!["_b"]),
+        ("(override /o/loc /o/b)", vec![]),
+        ("(override (merge /o/loc /o/b) /o/b2)", vec!["_b"]),
+    ];
+    for (src, names) in cases {
+        let bp = Blueprint::parse(src).unwrap();
+        let mut w = world();
+        assert_eq!(analyzer_interpositions(&bp, &mut w), names, "{src}");
+        for jobs in eval_jobs() {
+            let w = world();
+            assert_eq!(
+                eval_interpositions(&bp, &w, jobs).as_deref(),
+                Some(&names.iter().map(|n| n.to_string()).collect::<Vec<_>>()[..]),
+                "{src} at jobs {jobs}"
+            );
+        }
+    }
+}
+
+/// The server's manifests for the local-shadowing repro: `a.o` has a
+/// global `_start` and a *local* `helper`, `b.o` a global `helper`.
+/// `explain` (derived without linking) equals the manifest `instantiate`
+/// seals, with no interposition of `helper`; and preflight lint, which
+/// runs the analyzer, accepts the merge the evaluator accepts.
+#[test]
+fn local_shadow_repro_explains_like_it_builds() {
+    let server = Omos::new(CostModel::hpux(), Transport::SysVMsg);
+    server.namespace.bind_object(
+        "/obj/a.o",
+        assemble(
+            "a.o",
+            ".text\n.global _start\n_start: call helper\n sys 0\nhelper: ret\n",
+        )
+        .unwrap(),
+    );
+    server.namespace.bind_object(
+        "/obj/b.o",
+        assemble("b.o", ".text\n.global helper\nhelper: ret\n").unwrap(),
+    );
+    server.set_preflight(true);
+    for (path, src) in [
+        ("/bin/ov", "(override /obj/a.o /obj/b.o)"),
+        ("/bin/merge", "(merge /obj/a.o /obj/b.o)"),
+    ] {
+        server.namespace.bind_blueprint(path, src).unwrap();
+        assert!(server.lint(path).unwrap().is_empty(), "{src}");
+        let explained = server.explain(path).unwrap();
+        assert!(explained.interpositions.is_empty(), "{src}: {explained:?}");
+        let reply = server.instantiate(path).unwrap();
+        assert_eq!(reply.manifest, explained.hash(), "{src}");
+        assert_eq!(
+            server.explain(path).unwrap(),
+            explained,
+            "{src} after build"
+        );
+    }
+}
+
 /// The strategies above must actually exercise all three implications.
 #[test]
 fn differential_corpus_covers_every_class() {
     let mut w = world();
     let clean = Blueprint::parse("(merge /o/a /o/b)").unwrap();
     assert!(error_codes(&analyze_blueprint(&clean, &mut w)).is_empty());
+    let shadow = Blueprint::parse("(merge /o/loc /o/b)").unwrap();
+    assert!(error_codes(&analyze_blueprint(&shadow, &mut w)).is_empty());
     let dup = Blueprint::parse("(merge /o/a /o/dup /o/b)").unwrap();
     assert_eq!(error_codes(&analyze_blueprint(&dup, &mut w)), ["OM003"]);
     let missing = Blueprint::parse("(merge /o/a /missing)").unwrap();

@@ -29,14 +29,16 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use omos_blueprint::{eval_blueprint, Blueprint, EvalContext, EvalOutput, LinkPolicy, PolicyKind};
+use omos_blueprint::{
+    eval_blueprint, Blueprint, EvalContext, EvalOutput, LibraryUse, LinkPolicy, PolicyKind,
+};
 use omos_constraint::{
-    PlacementRequest, PlacementSolver, RegionClass, SegmentRequest, SolverState,
+    Placement, PlacementRequest, PlacementSolver, RegionClass, SegmentRequest, SolverState,
 };
 use omos_link::{layout_symbols, LinkOptions};
 use omos_obj::encode::container::{self, ContainerKind};
 use omos_obj::encode::{Reader, Writer};
-use omos_obj::{fnv1a, ContentHash, ObjError, SectionKind};
+use omos_obj::{fnv1a, ContentHash, ObjError, ObjectFile, SectionKind};
 
 use crate::{Diagnostic, Severity};
 
@@ -61,6 +63,80 @@ pub fn client_bases(cs: &[(RegionClass, u64)]) -> (u32, u32) {
         pref(RegionClass::Text).unwrap_or(CLIENT_TEXT_BASE),
         pref(RegionClass::Data).unwrap_or(CLIENT_DATA_BASE),
     )
+}
+
+/// Places one library and keys its bound image: the recipe the
+/// server's library step and [`derive_manifest_from_eval`] share.
+///
+/// The placement request asks for a text (text + rodata) and a data
+/// (data + bss) segment, page-rounded, at the library's preferred
+/// addresses; `place` runs it against a solver (the server's own, or a
+/// replay copy). The image key covers content, placement, and the
+/// extern bindings the library links against, hashed in name order: if
+/// a dependency moved or was rebuilt, this library's bound image is
+/// stale even though its own bytes and bases are unchanged.
+///
+/// Returns the placed (text, data) bases and the image key.
+pub fn place_library<E>(
+    lib: &LibraryUse,
+    obj: &ObjectFile,
+    externs: &BTreeMap<String, u32>,
+    place: impl FnOnce(&PlacementRequest) -> Result<Placement, E>,
+) -> Result<((u32, u32), ContentHash), E> {
+    let segment = |class, size: u64| SegmentRequest {
+        class,
+        size: round_page(size.max(1)),
+        align: 4096,
+        preferred: lib
+            .constraints
+            .iter()
+            .find(|(c, _)| *c == class)
+            .map(|&(_, a)| a),
+    };
+    let placement = place(&PlacementRequest {
+        name: lib.name.clone(),
+        key: lib.key.0,
+        segments: vec![
+            segment(
+                RegionClass::Text,
+                obj.size_of_kind(SectionKind::Text) + obj.size_of_kind(SectionKind::RoData),
+            ),
+            segment(
+                RegionClass::Data,
+                obj.size_of_kind(SectionKind::Data) + obj.size_of_kind(SectionKind::Bss),
+            ),
+        ],
+    })?;
+    let bases = (
+        placement.allocations[0].base as u32,
+        placement.allocations[1].base as u32,
+    );
+    let mut image_key = lib
+        .key
+        .with_str("library")
+        .with_u64(u64::from(bases.0))
+        .with_u64(u64::from(bases.1));
+    for (name, &addr) in externs {
+        image_key = image_key.with_str(name).with_u64(u64::from(addr));
+    }
+    Ok((bases, image_key))
+}
+
+/// The program image's key: the client module's content, the image
+/// keys of the libraries it binds against in resolution order, and its
+/// (text, data) bases. Content-derived, so rebound fragments produce
+/// fresh images.
+pub fn program_image_key(
+    module: ContentHash,
+    libraries: impl IntoIterator<Item = ContentHash>,
+    (text_base, data_base): (u32, u32),
+) -> ContentHash {
+    let mut k = module.with_str("program");
+    for l in libraries {
+        k = k.combine(l);
+    }
+    k.with_u64(u64::from(text_base))
+        .with_u64(u64::from(data_base))
 }
 
 /// One symbol's committed resolution.
@@ -535,7 +611,7 @@ pub fn derive_manifest_from_eval(
 ) -> Result<ResolutionManifest, String> {
     let mut sv = PlacementSolver::import_state(solver);
 
-    let mut externs: HashMap<String, u32> = HashMap::new();
+    let mut externs: BTreeMap<String, u32> = BTreeMap::new();
     // Each library's planned exports, for the binding fold.
     let mut exports = Vec::with_capacity(out.libraries.len());
     let mut libraries = Vec::with_capacity(out.libraries.len());
@@ -544,58 +620,11 @@ pub fn derive_manifest_from_eval(
             .module
             .materialize()
             .map_err(|e| format!("materialize `{}` failed: {e}", lib.name))?;
-        let text_size = obj.size_of_kind(SectionKind::Text) + obj.size_of_kind(SectionKind::RoData);
-        let data_size = obj.size_of_kind(SectionKind::Data) + obj.size_of_kind(SectionKind::Bss);
-        let pref = |class| {
-            lib.constraints
-                .iter()
-                .find(|(c, _)| *c == class)
-                .map(|&(_, a)| a)
-        };
-        let segments = vec![
-            SegmentRequest {
-                class: RegionClass::Text,
-                size: round_page(text_size.max(1)),
-                align: 4096,
-                preferred: pref(RegionClass::Text),
-            },
-            SegmentRequest {
-                class: RegionClass::Data,
-                size: round_page(data_size.max(1)),
-                align: 4096,
-                preferred: pref(RegionClass::Data),
-            },
-        ];
-        let placement = sv
-            .place(
-                &PlacementRequest {
-                    name: lib.name.clone(),
-                    key: lib.key.0,
-                    segments,
-                },
-                &[],
-            )
-            .map_err(|e| format!("placement of `{}` failed: {e}", lib.name))?;
-        let text_base = placement.allocations[0].base as u32;
-        let data_base = placement.allocations[1].base as u32;
-
-        // The image key recipe must match the server's exactly: content,
-        // placement, and the extern bindings the library links against.
-        let mut image_key = lib
-            .key
-            .with_str("library")
-            .with_u64(u64::from(text_base))
-            .with_u64(u64::from(data_base));
-        {
-            let mut ext: Vec<(&String, &u32)> = externs.iter().collect();
-            ext.sort();
-            for (name, addr) in ext {
-                image_key = image_key.with_str(name).with_u64(u64::from(*addr));
-            }
-        }
-
-        let mut opts = LinkOptions::library(&lib.name, text_base, data_base);
-        opts.externs = externs.clone();
+        let ((text_base, data_base), image_key) =
+            place_library(lib, &obj, &externs, |req| sv.place(req, &[]))
+                .map_err(|e| format!("placement of `{}` failed: {e}", lib.name))?;
+        // Exports depend on layout alone; externs only affect relocation.
+        let opts = LinkOptions::library(&lib.name, text_base, data_base);
         let symbols = layout_symbols(std::slice::from_ref(&obj), &opts)
             .map_err(|e| format!("layout of `{}` failed: {e}", lib.name))?;
         // Left-to-right, first-definition-wins extern fold ("all
@@ -617,14 +646,11 @@ pub fn derive_manifest_from_eval(
     }
 
     let (text_base, data_base) = client_bases(&out.constraints);
-    let program_key = {
-        let mut k = out.module.content_hash().with_str("program");
-        for l in &libraries {
-            k = k.combine(l.image_key);
-        }
-        k.with_u64(u64::from(text_base))
-            .with_u64(u64::from(data_base))
-    };
+    let program_key = program_image_key(
+        out.module.content_hash(),
+        libraries.iter().map(|l| l.image_key),
+        (text_base, data_base),
+    );
     let prog_obj = out
         .module
         .materialize()
@@ -632,7 +658,6 @@ pub fn derive_manifest_from_eval(
     let mut opts = LinkOptions::program("program");
     opts.text_base = text_base;
     opts.data_base = data_base;
-    opts.externs = externs.clone();
     let prog_syms = layout_symbols(std::slice::from_ref(&prog_obj), &opts)
         .map_err(|e| format!("program layout failed: {e}"))?;
 

@@ -151,8 +151,8 @@ fn escape(name: &str) -> String {
 /// Applies `bp`'s link policies to an evaluated output, in place.
 ///
 /// This is the **only** policy-application point: the server calls it on
-/// the eval output it is about to link (sequential, parallel, and
-/// incremental-relink paths alike), and [`crate::manifest::derive_manifest`]
+/// the eval output it is about to link (cold builds and relinks
+/// alike), and [`crate::manifest::derive_manifest`]
 /// calls it on its own eval before deriving — so the executed link and
 /// the static derivation always see the same transformed module.
 ///

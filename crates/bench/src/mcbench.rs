@@ -159,17 +159,17 @@ pub struct ColdLinkRun {
     pub wall_ms: f64,
 }
 
-/// Cold-link latency of one fan-out program, sequential (`jobs` = 1)
-/// against a parallel schedule. The *simulated* speedup is the
-/// deterministic, asserted number; wall speedup is reported for
-/// reference (meaningless on a loaded or single-CPU host).
+/// Cold-link latency of one fan-out program, one simulated lane
+/// (`jobs` = 1) against a lane schedule. Both runs do the same host
+/// work; the *simulated* speedup is the deterministic, asserted
+/// number.
 #[derive(Debug, Clone, Copy)]
 pub struct ColdLinkLatency {
     /// Scenario program instantiated (a wide library fan-out).
     pub program: &'static str,
     /// The sequential baseline.
     pub sequential: ColdLinkRun,
-    /// The parallel run.
+    /// The run at the wider lane schedule.
     pub parallel: ColdLinkRun,
 }
 
@@ -178,12 +178,6 @@ impl ColdLinkLatency {
     #[must_use]
     pub fn sim_speedup(&self) -> f64 {
         self.sequential.latency_ns as f64 / self.parallel.latency_ns.max(1) as f64
-    }
-
-    /// Host wall-clock speedup, for reference only.
-    #[must_use]
-    pub fn wall_speedup(&self) -> f64 {
-        self.sequential.wall_ms / self.parallel.wall_ms.max(1e-9)
     }
 }
 
@@ -904,8 +898,7 @@ pub fn to_json(r: &McResult) -> String {
                 name, run.jobs, run.server_ns, run.latency_ns, run.wall_ms, comma,
             );
         }
-        let _ = writeln!(out, "    \"sim_speedup\": {:.2},", cl.sim_speedup());
-        let _ = writeln!(out, "    \"wall_speedup\": {:.2}", cl.wall_speedup());
+        let _ = writeln!(out, "    \"sim_speedup\": {:.2}", cl.sim_speedup());
         let _ = writeln!(out, "  }},");
     }
     if let Some(wr) = &r.warm_restart {

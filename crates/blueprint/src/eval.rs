@@ -14,8 +14,15 @@
 //! server places it with the constraint system and binds the client to
 //! its exports, which is precisely the self-contained scheme. A
 //! `lib-dynamic` specialization instead *is* merged, as generated stubs.
+//!
+//! While it walks, the evaluator records the work-unit DAG of what it
+//! did ([`EvalOutput::units`]): one unit per leaf, cache hit, view
+//! operation, `source` compile, dynamic-stub generation and binary
+//! merge/override step. The server lays the units out on simulated
+//! worker lanes to price a request's critical path; evaluation itself
+//! runs inline, once.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -44,9 +51,6 @@ pub enum EvalError {
     /// An operation appeared somewhere it cannot (e.g. constrained
     /// library under `hide`).
     Misplaced(String),
-    /// A parallel evaluation worker died (panicked) while executing a
-    /// work unit; the request aborts cleanly.
-    Worker(String),
 }
 
 impl fmt::Display for EvalError {
@@ -58,7 +62,6 @@ impl fmt::Display for EvalError {
             EvalError::Resolve(p) => write!(f, "cannot resolve `{p}`"),
             EvalError::Cycle(p) => write!(f, "meta-object cycle through `{p}`"),
             EvalError::Misplaced(m) => write!(f, "misplaced operation: {m}"),
-            EvalError::Worker(m) => write!(f, "evaluation worker failed: {m}"),
         }
     }
 }
@@ -110,11 +113,9 @@ pub struct CachedEval {
 /// Server services the evaluator needs.
 ///
 /// Every method takes `&self`: the server's caches are internally
-/// synchronized (sharded locks, atomics), and the parallel executor
-/// probes and publishes from worker threads sharing one context. The
-/// `Sync` supertrait makes `&dyn EvalContext` shareable across a
-/// scoped worker pool.
-pub trait EvalContext: Sync {
+/// synchronized (sharded locks, atomics), so concurrent requests share
+/// them through their own contexts.
+pub trait EvalContext {
     /// Resolves a namespace path.
     fn resolve(&self, path: &str) -> Result<ResolvedNode, EvalError>;
 
@@ -176,6 +177,19 @@ pub struct LibraryUse {
     pub constraints: Vec<(RegionClass, u64)>,
 }
 
+/// One unit of the work-unit DAG an evaluation records: what it
+/// consumed and what it cost. Units are listed in completion order, so
+/// a unit's dependencies always have smaller ordinals.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnitReport {
+    /// Ordinals of the units this one consumed.
+    pub deps: Vec<usize>,
+    /// Merge/override steps this unit performs (0 or 1).
+    pub merges: u64,
+    /// `source` compilations this unit performs (0 or 1).
+    pub source_compiles: u64,
+}
+
 /// The result of evaluating a blueprint.
 #[derive(Debug)]
 pub struct EvalOutput {
@@ -197,6 +211,12 @@ pub struct EvalOutput {
     /// deduplicated: the resolution manifest's interpositions, as the
     /// merge engine decided them.
     pub interpositions: Vec<String>,
+    /// The work-unit DAG of this evaluation. An n-operand merge is a
+    /// chain of n−1 binary steps (merge is not associative, so only
+    /// sibling subtrees are independent), a subtree repeated within the
+    /// request is its first unit again, and a cache hit is a zero-work
+    /// unit.
+    pub units: Vec<UnitReport>,
 }
 
 struct Evaluator<'a> {
@@ -216,6 +236,12 @@ struct Evaluator<'a> {
     /// Names replaced inside shared-library subtrees, which belong to no
     /// enclosing client module.
     lib_interposed: Vec<String>,
+    units: Vec<UnitReport>,
+    /// The first unit each node key produced in this evaluation.
+    unit_of: HashMap<ContentHash, usize>,
+    /// The last dynamic-stub unit: registrations chain in discovery
+    /// order, since they assign library ids.
+    last_dyn: Option<usize>,
 }
 
 /// Evaluates a blueprint to a client module plus its library uses.
@@ -228,8 +254,11 @@ pub fn eval_blueprint(bp: &Blueprint, ctx: &dyn EvalContext) -> Result<EvalOutpu
         scopes: vec![BTreeSet::new()],
         interposed: Vec::new(),
         lib_interposed: Vec::new(),
+        units: Vec::new(),
+        unit_of: HashMap::new(),
+        last_dyn: None,
     };
-    let module = ev.node(&bp.root).map_err(|e| locate_error(e, bp))?;
+    let (module, _) = ev.node(&bp.root).map_err(|e| locate_error(e, bp))?;
     let mut deps = BTreeSet::new();
     for s in ev.scopes {
         deps.extend(s);
@@ -242,12 +271,13 @@ pub fn eval_blueprint(bp: &Blueprint, ctx: &dyn EvalContext) -> Result<EvalOutpu
         stats: ev.stats,
         deps,
         interpositions: canonical_names(ev.interposed),
+        units: ev.units,
     })
 }
 
 /// Sorts and deduplicates interposition names, the form cache rows and
 /// [`EvalOutput::interpositions`] carry.
-pub(crate) fn canonical_names(mut names: Vec<String>) -> Vec<String> {
+fn canonical_names(mut names: Vec<String>) -> Vec<String> {
     names.sort_unstable();
     names.dedup();
     names
@@ -268,11 +298,30 @@ impl Evaluator<'_> {
         }
     }
 
-    fn node(&mut self, n: &MNode) -> Result<Module, EvalError> {
+    fn unit(&mut self, deps: Vec<usize>, merges: u64, source_compiles: u64) -> usize {
+        self.units.push(UnitReport {
+            deps,
+            merges,
+            source_compiles,
+        });
+        self.units.len() - 1
+    }
+
+    /// Evaluates `n`, returning its module and the unit that produced
+    /// it.
+    fn node(&mut self, n: &MNode) -> Result<(Module, usize), EvalError> {
         self.stats.nodes += 1;
         let key = n.hash();
         if let Some(c) = self.ctx.cache_get(key) {
             self.stats.cache_hits += 1;
+            let unit = match self.unit_of.get(&key) {
+                Some(&u) => u,
+                None => {
+                    let u = self.unit(Vec::new(), 0, 0);
+                    self.unit_of.insert(key, u);
+                    u
+                }
+            };
             // A hit stands on the entry's own dependency record: fold it
             // into the enclosing scope so the result invalidates when any
             // of those paths change.
@@ -282,20 +331,32 @@ impl Evaluator<'_> {
             // recorded when it was first evaluated and are re-declared by
             // re-walking only the library-introducing nodes.
             self.collect_library_uses(n)?;
-            return Ok(c.module);
+            return Ok((c.module, unit));
         }
         self.scopes.push(BTreeSet::new());
         let mark = self.interposed.len();
-        let m = self.node_uncached(n)?;
+        let (m, unit) = self.node_uncached(n)?;
         let deps = Arc::new(self.scopes.pop().expect("scope pushed above"));
         let names = canonical_names(self.interposed.drain(mark..).collect());
         self.ctx.cache_store(key, &m, &deps, &names);
         self.interposed.extend(names);
         self.fold_deps(&deps);
-        Ok(m)
+        self.unit_of.entry(key).or_insert(unit);
+        Ok((m, unit))
     }
 
-    fn node_uncached(&mut self, n: &MNode) -> Result<Module, EvalError> {
+    /// A view operation on `operand`'s module: one zero-work unit.
+    fn view(
+        &mut self,
+        operand: &MNode,
+        op: impl FnOnce(&Module) -> Result<Module, ObjError>,
+    ) -> Result<(Module, usize), EvalError> {
+        let (m, u) = self.node(operand)?;
+        let m = op(&m)?;
+        Ok((m, self.unit(vec![u], 0, 0)))
+    }
+
+    fn node_uncached(&mut self, n: &MNode) -> Result<(Module, usize), EvalError> {
         match n {
             MNode::Leaf(path) => self.leaf(path),
             MNode::Merge(items) => {
@@ -303,73 +364,80 @@ impl Evaluator<'_> {
                 // a merge step fails before later operands are evaluated,
                 // exactly as the binary fold would.
                 let mut merged = MergeBuilder::new();
+                let mut acc: Option<usize> = None;
                 for it in items {
-                    let m = match self.library_candidate(it)? {
+                    let (m, u) = match self.library_candidate(it)? {
                         Some(()) => continue, // recorded as a library use
                         None => self.node(it)?,
                     };
-                    if !merged.is_empty() {
-                        self.stats.merges += 1;
-                    }
+                    acc = Some(match acc {
+                        None => u,
+                        Some(a) => {
+                            self.stats.merges += 1;
+                            self.unit(vec![a, u], 1, 0)
+                        }
+                    });
                     merged.push(&m)?;
                 }
-                if merged.is_empty() {
+                let Some(unit) = acc else {
                     // Every operand was a shared library: the "client" is
                     // empty, which is a blueprint bug.
                     return Err(EvalError::Misplaced(
                         "merge of only shared libraries produces an empty client".into(),
                     ));
-                }
-                Ok(merged.finish()?)
+                };
+                Ok((merged.finish()?, unit))
             }
             MNode::Override(a, b) => {
-                let ma = self.node(a)?;
-                let mb = self.node(b)?;
+                let (ma, ua) = self.node(a)?;
+                let (mb, ub) = self.node(b)?;
                 self.stats.merges += 1;
                 let (m, replaced) = ma.override_replacing(&mb)?;
                 self.interposed.extend(replaced);
-                Ok(m)
+                Ok((m, self.unit(vec![ua, ub], 1, 0)))
             }
             MNode::Rename {
                 pattern,
                 replacement,
                 target,
                 operand,
-            } => Ok(self.node(operand)?.rename(pattern, replacement, *target)?),
-            MNode::Hide { pattern, operand } => Ok(self.node(operand)?.hide(pattern)?),
-            MNode::Show { pattern, operand } => Ok(self.node(operand)?.show(pattern)?),
-            MNode::Restrict { pattern, operand } => Ok(self.node(operand)?.restrict(pattern)?),
-            MNode::Project { pattern, operand } => Ok(self.node(operand)?.project(pattern)?),
+            } => self.view(operand, |m| m.rename(pattern, replacement, *target)),
+            MNode::Hide { pattern, operand } => self.view(operand, |m| m.hide(pattern)),
+            MNode::Show { pattern, operand } => self.view(operand, |m| m.show(pattern)),
+            MNode::Restrict { pattern, operand } => self.view(operand, |m| m.restrict(pattern)),
+            MNode::Project { pattern, operand } => self.view(operand, |m| m.project(pattern)),
             MNode::CopyAs {
                 pattern,
                 replacement,
                 operand,
-            } => Ok(self.node(operand)?.copy_as(pattern, replacement)?),
-            MNode::Freeze { pattern, operand } => Ok(self.node(operand)?.freeze(pattern)?),
-            MNode::Initializers(o) => Ok(self.node(o)?.initializers()?),
+            } => self.view(operand, |m| m.copy_as(pattern, replacement)),
+            MNode::Freeze { pattern, operand } => self.view(operand, |m| m.freeze(pattern)),
+            MNode::Initializers(o) => self.view(o, Module::initializers),
             MNode::Source { lang, code } => {
                 self.stats.source_compiles += 1;
                 let obj = compile_source(lang, code, "<source>")?;
-                Ok(Module::from_object(obj))
+                Ok((Module::from_object(obj), self.unit(Vec::new(), 0, 1)))
             }
             MNode::Specialize { kind, operand } => match kind {
-                SpecKind::Static | SpecKind::DynamicImpl => self.node(operand),
+                // A constrained specialization evaluated in a position
+                // where its module is demanded directly (not under a
+                // merge) produces the module; the constraints apply when
+                // the server instantiates it standalone.
+                SpecKind::Static | SpecKind::DynamicImpl | SpecKind::Constrained(_) => {
+                    self.node(operand)
+                }
                 SpecKind::Dynamic => {
-                    let impl_module = self.node(operand)?;
+                    let (impl_module, impl_unit) = self.node(operand)?;
                     let key = impl_module.content_hash().with_str("dynamic-impl");
                     let lib_id = self.ctx.register_dynamic_impl(key, &impl_module)?;
                     let mut exports = impl_module.exports()?;
                     exports.sort();
-                    Ok(Module::from_object(make_partial_stubs(lib_id, &exports)))
-                }
-                SpecKind::Constrained(cs) => {
-                    // A constrained specialization evaluated in a position
-                    // where its module is demanded directly (not under a
-                    // merge): produce the module; the constraints apply
-                    // when the server instantiates it standalone.
-                    let m = self.node(operand)?;
-                    let _ = cs;
-                    Ok(m)
+                    let stubs = Module::from_object(make_partial_stubs(lib_id, &exports));
+                    let mut deps = vec![impl_unit];
+                    deps.extend(self.last_dyn);
+                    let unit = self.unit(deps, 0, 0);
+                    self.last_dyn = Some(unit);
+                    Ok((stubs, unit))
                 }
             },
         }
@@ -401,7 +469,7 @@ impl Evaluator<'_> {
                 match self.ctx.resolve(path)? {
                     ResolvedNode::Meta(bp) if !bp.constraints.is_empty() => {
                         let mark = self.interposed.len();
-                        let module = self.meta(path, &bp)?;
+                        let (module, _) = self.meta(path, &bp)?;
                         self.take_library_names(mark);
                         self.libraries.push(LibraryUse {
                             name: path.clone(),
@@ -422,7 +490,7 @@ impl Evaluator<'_> {
     /// interpositions belong to no enclosing client module.
     fn library_node(&mut self, operand: &MNode) -> Result<Module, EvalError> {
         let mark = self.interposed.len();
-        let module = self.node(operand)?;
+        let (module, _) = self.node(operand)?;
         self.take_library_names(mark);
         Ok(module)
     }
@@ -460,18 +528,18 @@ impl Evaluator<'_> {
         }
     }
 
-    fn leaf(&mut self, path: &str) -> Result<Module, EvalError> {
+    fn leaf(&mut self, path: &str) -> Result<(Module, usize), EvalError> {
         self.record(path);
         match self.ctx.resolve(path)? {
             ResolvedNode::Object(obj) => {
                 self.stats.leaves += 1;
-                Ok(Module::from_arc(obj))
+                Ok((Module::from_arc(obj), self.unit(Vec::new(), 0, 0)))
             }
             ResolvedNode::Meta(bp) => self.meta(path, &bp),
         }
     }
 
-    fn meta(&mut self, path: &str, bp: &Blueprint) -> Result<Module, EvalError> {
+    fn meta(&mut self, path: &str, bp: &Blueprint) -> Result<(Module, usize), EvalError> {
         if let Some(pos) = self.visiting.iter().position(|p| p == path) {
             return Err(EvalError::Cycle(cycle_chain(&self.visiting[pos..], path)));
         }
@@ -485,13 +553,13 @@ impl Evaluator<'_> {
 /// Formats the full blueprint path chain of a detected cycle: every
 /// meta-object from the first re-entered node down to the repeat, e.g.
 /// `/meta/a -> /meta/b -> /meta/a`.
-pub(crate) fn cycle_chain(visiting_tail: &[String], repeat: &str) -> String {
+fn cycle_chain(visiting_tail: &[String], repeat: &str) -> String {
     let mut chain: Vec<&str> = visiting_tail.iter().map(String::as_str).collect();
     chain.push(repeat);
     chain.join(" -> ")
 }
 
-pub(crate) fn leaf_name(n: &MNode) -> String {
+fn leaf_name(n: &MNode) -> String {
     match n {
         MNode::Leaf(p) => p.clone(),
         other => format!("<inline:{}>", other.hash()),
@@ -505,7 +573,7 @@ pub(crate) fn leaf_name(n: &MNode) -> String {
 /// (re-entered) component. Errors raised from inside a *referenced*
 /// meta-object have no span in this blueprint and pass through
 /// unchanged.
-pub(crate) fn locate_error(e: EvalError, bp: &Blueprint) -> EvalError {
+fn locate_error(e: EvalError, bp: &Blueprint) -> EvalError {
     let locate = |name: &str| -> Option<Span> {
         let mut path = Vec::new();
         find_leaf_span(&bp.root, name, &mut path, bp)
@@ -554,39 +622,38 @@ fn find_leaf_span(n: &MNode, target: &str, path: &mut Vec<u32>, bp: &Blueprint) 
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use omos_isa::assemble;
-    use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
     /// A test context: a flat namespace of objects and metas plus a real
     /// cache. Mutable state sits behind locks so the context serves the
-    /// `&self` trait (and the parallel executor's worker threads).
+    /// `&self` trait.
     #[derive(Default)]
-    pub(crate) struct TestCtx {
-        pub(crate) objects: HashMap<String, Arc<omos_obj::ObjectFile>>,
-        pub(crate) metas: HashMap<String, Blueprint>,
-        pub(crate) cache: Mutex<HashMap<ContentHash, CachedEval>>,
-        pub(crate) dynamic: Mutex<Vec<(ContentHash, Module)>>,
-        pub(crate) resolve_calls: AtomicU64,
+    struct TestCtx {
+        objects: HashMap<String, Arc<omos_obj::ObjectFile>>,
+        metas: HashMap<String, Blueprint>,
+        cache: Mutex<HashMap<ContentHash, CachedEval>>,
+        dynamic: Mutex<Vec<(ContentHash, Module)>>,
+        resolve_calls: AtomicU64,
     }
 
     impl TestCtx {
-        pub(crate) fn add_asm(&mut self, path: &str, src: &str) {
+        fn add_asm(&mut self, path: &str, src: &str) {
             self.objects.insert(
                 path.to_string(),
                 Arc::new(assemble(path, src).expect("assembles")),
             );
         }
 
-        pub(crate) fn add_meta(&mut self, path: &str, src: &str) {
+        fn add_meta(&mut self, path: &str, src: &str) {
             self.metas
                 .insert(path.to_string(), Blueprint::parse(src).expect("parses"));
         }
 
-        pub(crate) fn dynamic_count(&self) -> usize {
+        fn dynamic_count(&self) -> usize {
             self.dynamic.lock().unwrap().len()
         }
     }
@@ -638,7 +705,7 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn ls_world() -> TestCtx {
+    fn ls_world() -> TestCtx {
         let mut ctx = TestCtx::default();
         ctx.add_asm(
             "/obj/ls.o",
@@ -654,7 +721,7 @@ pub(crate) mod tests {
     /// [`ls_world`] plus `/lib/traced`, a library whose own graph
     /// overrides stdio's `_puts`, and `/obj/local.o`, which has a
     /// *local* spelled like that global.
-    pub(crate) fn override_world() -> TestCtx {
+    fn override_world() -> TestCtx {
         let mut ctx = ls_world();
         ctx.add_asm(
             "/obj/trace.o",
@@ -736,6 +803,97 @@ pub(crate) mod tests {
             out.module.materialize().unwrap().name,
             "/obj/m0.o+/obj/m1.o+/obj/m2.o+/obj/m3.o+/obj/m4.o"
         );
+    }
+
+    #[test]
+    fn evaluation_records_the_work_unit_dag() {
+        let world = || {
+            let mut ctx = TestCtx::default();
+            for i in 0..4 {
+                ctx.add_asm(
+                    &format!("/obj/m{i}.o"),
+                    &format!(".text\n.global _f{i}\n_f{i}: ret\n"),
+                );
+            }
+            ctx
+        };
+        let ctx = world();
+        let unit = |deps: &[usize], merges, source_compiles| UnitReport {
+            deps: deps.to_vec(),
+            merges,
+            source_compiles,
+        };
+        let leaf = unit(&[], 0, 0);
+        // A 4-operand merge is a chain of 3 binary steps, each consuming
+        // the accumulated left operand and the next operand.
+        let four = "(merge /obj/m0.o /obj/m1.o /obj/m2.o /obj/m3.o)";
+        let out = eval_blueprint(&Blueprint::parse(four).unwrap(), &ctx).unwrap();
+        assert_eq!(
+            out.units,
+            [
+                leaf.clone(),
+                leaf.clone(),
+                unit(&[0, 1], 1, 0),
+                leaf.clone(),
+                unit(&[2, 3], 1, 0),
+                leaf.clone(),
+                unit(&[4, 5], 1, 0),
+            ]
+        );
+        // An eval-cache hit is one zero-work unit the rest builds on.
+        let bp = Blueprint::parse(&format!("(hide \"^_f1$\" {four})")).unwrap();
+        let out = eval_blueprint(&bp, &ctx).unwrap();
+        assert_eq!(out.stats.cache_hits, 1);
+        assert_eq!(out.units, [leaf.clone(), unit(&[0], 0, 0)]);
+        // A `source` compile costs one compile; a subtree repeated within
+        // the request is its first unit again.
+        let bp = Blueprint::parse(
+            r#"(merge (source "c" "int undef_var = 0;\n")
+                      (hide "^_f0$" /obj/m0.o)
+                      (hide "^_f0$" /obj/m0.o))"#,
+        )
+        .unwrap();
+        let out = eval_blueprint(&bp, &world()).unwrap();
+        assert_eq!(out.stats.cache_hits, 1);
+        assert_eq!(
+            out.units,
+            [
+                unit(&[], 0, 1),
+                leaf,
+                unit(&[1], 0, 0),
+                unit(&[0, 2], 1, 0),
+                unit(&[3, 2], 1, 0),
+            ]
+        );
+    }
+
+    #[test]
+    fn wide_nested_merge_keeps_every_operands_locals() {
+        let mut ctx = TestCtx::default();
+        for op in ["a", "b", "c", "d", "e", "f"] {
+            ctx.add_asm(
+                &format!("/obj/{op}.o"),
+                &format!(
+                    ".text\n.global _{op}\n_{op}: li r2, _msg\n li r3, _tbl\n ret\n\
+                     .rodata\n_msg: .ascii \"{op}\"\n_tbl: .word 0\n"
+                ),
+            );
+        }
+        let bp = Blueprint::parse(
+            "(merge (merge /obj/a.o /obj/b.o /obj/c.o) /obj/d.o (merge /obj/e.o /obj/f.o))",
+        )
+        .unwrap();
+        let out = eval_blueprint(&bp, &ctx).unwrap();
+        assert_eq!(out.stats.merges, 5);
+        let locals = out
+            .module
+            .materialize()
+            .unwrap()
+            .symbols
+            .iter()
+            .filter(|s| s.binding == omos_obj::SymbolBinding::Local)
+            .count();
+        assert_eq!(locals, 12, "every operand's locals survive, renamed");
     }
 
     #[test]

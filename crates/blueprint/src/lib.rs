@@ -13,14 +13,11 @@
 //!   compiles the mini-C subset the paper's Figure 3 uses;
 //! * [`eval`] — m-graph execution against a pluggable [`eval::EvalContext`]
 //!   (namespace resolution, sub-result caching, dynamic-library
-//!   registration), producing a linked-ready [`omos_module::Module`];
-//! * [`plan`] — the same evaluation split into a planning pass (lower
-//!   the m-graph into a DAG of work units) and a work-stealing parallel
-//!   execution pass, deterministic and byte-identical to [`eval`].
+//!   registration), producing a linked-ready [`omos_module::Module`]
+//!   and the work-unit DAG of the evaluation.
 
 pub mod ast;
 pub mod eval;
-pub mod plan;
 pub mod sexpr;
 pub mod source;
 
@@ -29,8 +26,7 @@ pub use ast::{
 };
 pub use eval::{
     eval_blueprint, CachedEval, EvalContext, EvalError, EvalOutput, EvalStats, LibraryUse,
-    ResolvedNode,
+    ResolvedNode, UnitReport,
 };
-pub use plan::{eval_blueprint_parallel, ParallelOutput, UnitReport};
 pub use sexpr::{parse_sexprs, Sexpr, SexprKind, Span};
 pub use source::{compile_source, SourceError};

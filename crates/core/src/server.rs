@@ -35,26 +35,27 @@
 //! and flight-table locks are leaves; nothing calls back into the
 //! server while holding one.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use omos_analysis::manifest::{
-    bindings_of, derive_manifest, derive_manifest_from_eval, program_candidates, LibraryResolution,
-    ProgramResolution, ResolutionManifest,
+    bindings_of, client_bases, derive_manifest, derive_manifest_from_eval, place_library,
+    program_candidates, program_image_key, LibraryResolution, ProgramResolution,
+    ResolutionManifest,
 };
-use omos_analysis::relink::{plan_relink, LibAction};
+use omos_analysis::relink::{plan_relink, LibAction, RelinkPlan};
 use omos_analysis::{
     analyze_blueprint, apply_link_policies, Diagnostic, LintContext, LintResolved, PolicyError,
     Severity,
 };
 use omos_blueprint::eval::LibraryUse;
 use omos_blueprint::{
-    eval_blueprint, eval_blueprint_parallel, Blueprint, CachedEval, EvalContext, EvalError,
-    EvalOutput, EvalStats, MNode, ResolvedNode, UnitReport,
+    eval_blueprint, Blueprint, CachedEval, EvalContext, EvalError, EvalOutput, EvalStats, MNode,
+    ResolvedNode, UnitReport,
 };
-use omos_constraint::{PlacementRequest, PlacementSolver, RegionClass, SegmentRequest};
-use omos_link::{layout_symbols, link, FunctionHashTable, LinkOptions, LinkOutput, LinkStats};
+use omos_constraint::PlacementSolver;
+use omos_link::{link, FunctionHashTable, LinkOptions, LinkStats};
 use omos_module::Module;
 use omos_obj::{ContentHash, ObjectFile, SectionKind};
 use omos_os::ipc::{ImageDescriptor, ReplyShape, Transport};
@@ -131,10 +132,11 @@ pub struct InstantiateReply {
     /// Server CPU consumed by this request — the total *work*, billed
     /// to the client and identical at every `eval_jobs` setting.
     pub server_ns: u64,
-    /// Simulated wall-clock latency of this request: with parallel
-    /// evaluation enabled, the critical path of the work-unit/link
-    /// schedule rather than the work sum. Equals `server_ns` when
-    /// `eval_jobs` is 1 (and on cache hits).
+    /// Simulated wall-clock latency of this request: for a cold build
+    /// at `eval_jobs > 1`, the critical path of its work units and
+    /// library links laid out on that many simulated lanes, rather than
+    /// the work sum. Equals `server_ns` when `eval_jobs` is 1 (and on
+    /// cache hits and relinks).
     pub latency_ns: u64,
     /// True if the reply came from cache or from another request's
     /// in-flight build (single-flight followers did no link work).
@@ -363,11 +365,13 @@ impl Omos {
         }
     }
 
-    /// Sets the intra-request parallelism: cold builds plan the m-graph
-    /// into a work-unit DAG and execute it (plus the independent
-    /// library links) on `jobs` workers. 1 (the default, or the
-    /// `OMOS_EVAL_JOBS` environment variable at construction) keeps the
-    /// sequential path. Results are byte-identical either way; only
+    /// Sets the simulated intra-request parallelism: a cold build lays
+    /// the work-unit DAG its evaluation recorded, and its independent
+    /// library links, out on `jobs` simulated lanes with a
+    /// deterministic list schedule. The build itself always runs
+    /// inline, once; 1 (the default, or the `OMOS_EVAL_JOBS`
+    /// environment variable at construction) bills latency = work.
+    /// Replies and `server_ns` are identical at every setting; only
     /// [`InstantiateReply::latency_ns`] and the span timeline change.
     pub fn set_eval_jobs(&self, jobs: usize) {
         self.eval_jobs.store(jobs.max(1), Ordering::Relaxed);
@@ -622,10 +626,11 @@ impl Omos {
         ReplyProbe::Hit(reply)
     }
 
-    /// Leader rebuild of a cache-missing reply: tries the incremental
-    /// relink engine when an old manifest seed is available, falling
-    /// back to the full build on any anomaly (a failed fallback never
-    /// loses correctness — the full path is authoritative).
+    /// Leader rebuild of a cache-missing reply. With incremental
+    /// relinking on and an old manifest seed at hand, the build runs as
+    /// a relink; any anomaly falls back to the full build (a failed
+    /// relink never loses correctness: the full build is
+    /// authoritative).
     fn rebuild_reply(
         &self,
         bp: &Arc<Blueprint>,
@@ -645,15 +650,16 @@ impl Omos {
                 return Err(OmosError::Preflight(errors));
             }
         }
-        if self.incremental_relink() {
-            if let Some(seed) = seed {
-                if let Some(reply) = self.relink_reply(bp, root, key, &seed, seeded) {
-                    return Ok(reply);
-                }
-                self.tracer.relink_fallback();
+        if let Some(seed) = seed.filter(|_| self.incremental_relink()) {
+            let relinked = ResolutionManifest::decode(&seed)
+                .map_err(OmosError::Obj)
+                .and_then(|before| self.build_reply(bp, root, key, Some((&before, seeded))));
+            if let Ok(reply) = relinked {
+                return Ok(reply);
             }
+            self.tracer.relink_fallback();
         }
-        self.build_reply(bp, root, key)
+        self.build_reply(bp, root, key, None)
     }
 
     /// Applies the blueprint's link policies to a fresh evaluation:
@@ -684,366 +690,234 @@ impl Omos {
         result
     }
 
-    /// Leader path: evaluate the blueprint, build libraries and the
-    /// program image, cache the reply with its dependency record.
+    /// The leader build, one engine for cold builds and relinks:
+    /// evaluate the blueprint once and apply its policies, bind each
+    /// library in resolution order and then the program
+    /// ([`Omos::bind_images`]), seal the manifest the artifacts commit
+    /// to, and cache the reply with its dependency record.
+    ///
+    /// A relink (`relink`: the dropped reply's manifest, and whether it
+    /// was a restore seed) first derives the new resolution statically
+    /// from the same evaluation ([`derive_manifest_from_eval`]: a
+    /// placement replay on a copy of the solver state, no link) and
+    /// plans against the old one ([`plan_relink`]). A library whose
+    /// resolution row is unchanged reuses its cached image: the image
+    /// key covers content, placement and extern environment, so the
+    /// image is byte-valid as-is. The sealed manifest must equal the
+    /// derived one; a mismatch, like any error, returns `Err`, and the
+    /// caller falls back to the full build.
+    ///
+    /// `server_ns` bills the work sum. `latency_ns` bills the simulated
+    /// critical path: a cold build at `eval_jobs > 1` lays its work
+    /// units and library links out on that many simulated lanes (the
+    /// work itself runs inline, once); a relink bills latency = work.
     fn build_reply(
         &self,
         bp: &Arc<Blueprint>,
         root: Option<&str>,
         key: ContentHash,
+        relink: Option<(&ResolutionManifest, bool)>,
     ) -> Result<InstantiateReply, OmosError> {
         // Snapshot the generation *before* resolving anything: a bind
         // racing this build lands after the snapshot and invalidates
         // the entry on its next lookup.
         let ctx = ReqCtx::new(self);
-        let jobs = self.eval_jobs();
-        if jobs > 1 {
-            return self.build_reply_parallel(bp, root, key, &ctx, jobs);
-        }
+        let lanes = if relink.is_some() {
+            1
+        } else {
+            self.eval_jobs()
+        };
         let mut server_ns = self.cost.server_cached_request_ns; // baseline handling
-        self.tracer.advance(self.cost.server_cached_request_ns);
+        self.tracer.advance(server_ns);
+
         let span = self.tracer.open(SpanKind::Eval);
         let out = eval_blueprint(bp, &ctx);
-        let eval_ns = out
+        let (eval_ns, eval_latency) = out
             .as_ref()
-            .map_or(0, |o| eval_work_ns(&o.stats, &self.cost));
-        self.tracer.close_leaf(span, Stage::Eval, eval_ns);
+            .map_or((0, 0), |o| self.eval_timeline(o, lanes));
+        self.tracer.close_leaf(span, Stage::Eval, eval_latency);
         let mut out = out?;
-        server_ns += eval_ns;
-        server_ns += self.apply_policies(bp, &mut out)?;
+        let policy_ns = self.apply_policies(bp, &mut out)?;
+        server_ns += eval_ns + policy_ns;
 
-        // Build (or reuse) each referenced library, resolving
-        // inter-library references left to right ("all definitions of
-        // variables must be made in the library furthest downstream").
-        let mut externs: HashMap<String, u32> = HashMap::new();
-        let mut libraries = Vec::with_capacity(out.libraries.len());
-        let mut bases = Vec::with_capacity(out.libraries.len());
-        for lib in &out.libraries {
-            let (img, ns, placed) = self.instantiate_library(lib, &externs)?;
-            server_ns += ns;
+        let plan = match relink {
+            Some((before, _)) => {
+                let state = self.solver().export_state();
+                let derived =
+                    derive_manifest_from_eval(bp, &out, &state).map_err(OmosError::Client)?;
+                let plan = plan_relink(before, &derived);
+                Some((derived, plan))
+            }
+            None => None,
+        };
+        let relink_span = plan
+            .is_some()
+            .then(|| self.tracer.open(SpanKind::RelinkPartial));
+        let bound = self.bind_images(&out, key, plan.as_ref(), lanes);
+        if let Some(span) = relink_span {
+            let ns = bound.as_ref().map_or(0, |b| b.link_ns);
+            self.tracer.note(Stage::RelinkPartial, ns);
+            self.tracer.close(span);
+        }
+        let bound = bound?;
+        server_ns += bound.link_ns;
+        let mut latency_ns =
+            self.cost.server_cached_request_ns + eval_latency + policy_ns + bound.link_latency;
+
+        let manifest = bound.manifest(bp, key, &out);
+        if let Some((derived, plan)) = &plan {
+            // Patching the cached reply's bindings for the dirtied
+            // symbols is real (cheap) work: one relocation-sized write
+            // per changed binding.
+            let patch_ns = plan.diff.changed_symbols().len() as u64 * self.cost.reloc_ns;
+            server_ns += patch_ns;
+            latency_ns += patch_ns;
+            self.tracer.advance(patch_ns);
+            if manifest != *derived {
+                return Err(OmosError::Client(
+                    "relink diverged from the derived manifest".into(),
+                ));
+            }
+        }
+        self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
+        let reply = InstantiateReply {
+            program: bound.program,
+            libraries: bound.libraries,
+            server_ns,
+            latency_ns,
+            cache_hit: false,
+            req: 0, // attributed by `request`
+            manifest: manifest.hash(),
+        };
+        // A relink lands as an in-place overwrite of the reply-cache
+        // slot (same key) rather than an evict-then-miss cycle.
+        self.cache_reply(key, &reply, ctx.gen, out.deps, root, bp, &manifest);
+        if let Some((_, seeded)) = relink {
+            let relinked = reply.libraries.len() as u64 - bound.reused;
+            self.tracer
+                .relink(bound.reused, relinked, !seeded, seeded, bound.avoided_ns);
+        }
+        Ok(reply)
+    }
+
+    /// Bills one evaluation: returns its work and its simulated latency.
+    /// On one lane the latency is the work. On more, the node visits
+    /// stay serial and the recorded work units are list-scheduled onto
+    /// `lanes` simulated workers, each costly unit landing on the
+    /// timeline as a lane-tagged span.
+    fn eval_timeline(&self, out: &EvalOutput, lanes: usize) -> (u64, u64) {
+        let work = eval_work_ns(&out.stats, &self.cost);
+        if lanes == 1 {
+            return (work, work);
+        }
+        let visits = out.stats.nodes * self.cost.lookup_ns;
+        let (slots, makespan) = schedule_units(&out.units, &self.cost, lanes);
+        for (start, lane, dur) in slots {
+            if dur > 0 {
+                self.tracer
+                    .span_at(SpanKind::EvalUnit, visits + start, dur, lane);
+            }
+        }
+        (work, visits + makespan)
+    }
+
+    /// Binds every library in resolution order, folding each one's
+    /// exports into the extern environment ("all definitions of
+    /// variables must be made in the library furthest downstream"),
+    /// then the program against them. A library the relink `plan` marks
+    /// for reuse takes its cached image; every other one runs the
+    /// library step ([`Omos::instantiate_library`]).
+    ///
+    /// At `lanes > 1` the library links run off the request timeline
+    /// and are laid out afterwards on simulated lanes: once placement
+    /// and the extern fold have run in order, the links are mutually
+    /// independent.
+    fn bind_images(
+        &self,
+        out: &EvalOutput,
+        reply_key: ContentHash,
+        plan: Option<&(ResolutionManifest, RelinkPlan)>,
+        lanes: usize,
+    ) -> Result<Bound, OmosError> {
+        let n = out.libraries.len();
+        let mut externs = BTreeMap::new();
+        let mut libraries = Vec::with_capacity(n);
+        let mut bases = Vec::with_capacity(n);
+        let mut link_ns = Vec::with_capacity(n);
+        let (mut reused, mut avoided_ns) = (0, 0);
+        for (i, lib) in out.libraries.iter().enumerate() {
+            let reuse = plan
+                .filter(|(_, plan)| plan.libraries[i].action == LibAction::Reuse)
+                .and_then(|(derived, _)| self.reuse_library(lib, &derived.libraries[i]));
+            let (img, ns, placed) = match reuse {
+                Some(hit) => {
+                    // The link work this reuse skipped; a cold full
+                    // relink would re-pay exactly this (the simulation
+                    // is deterministic).
+                    reused += 1;
+                    avoided_ns += hit.0.rebuild_ns;
+                    hit
+                }
+                None => self.instantiate_library(lib, &externs, lanes > 1)?,
+            };
             for (s, a) in &img.image.symbols {
                 externs.entry(s.clone()).or_insert(*a);
             }
             libraries.push(img);
             bases.push(placed);
+            link_ns.push(ns);
+        }
+        let mut link_latency = link_ns.iter().sum();
+        if lanes > 1 {
+            let (slots, makespan) = schedule_independent(&link_ns, lanes);
+            for (&ns, (start, lane)) in link_ns.iter().zip(slots) {
+                if ns > 0 {
+                    self.tracer.span_at(SpanKind::Link, start, ns, lane);
+                    self.tracer.note(Stage::Link, ns);
+                }
+            }
+            self.tracer.advance(makespan);
+            link_latency = makespan;
         }
 
-        // Link the client against the placed libraries.
-        let (text_base, data_base) = client_bases(&out.constraints);
-        let image_key = {
-            // Content-derived, so rebound fragments produce fresh images.
-            let mut k = out.module.content_hash().with_str("program");
-            for l in &libraries {
-                k = k.combine(l.key);
-            }
-            k.with_u64(u64::from(text_base))
-                .with_u64(u64::from(data_base))
-        };
-        let program = match self.images.get(image_key) {
-            Some(img) => img,
-            None => {
-                let (img, ns) = self.build_program(
-                    &out.module,
-                    image_key,
-                    key,
-                    text_base,
-                    data_base,
-                    &externs,
-                )?;
-                server_ns += ns;
-                img
-            }
-        };
-
-        let manifest = self.manifest_from_actuals(
-            bp,
-            key,
-            &out,
-            &libraries,
-            &bases,
-            &program,
-            (text_base, data_base),
+        let client = client_bases(&out.constraints);
+        let image_key = program_image_key(
+            out.module.content_hash(),
+            libraries.iter().map(|l| l.key),
+            client,
         );
-        self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
-        let reply = InstantiateReply {
-            program,
-            libraries,
-            server_ns,
-            latency_ns: server_ns, // sequential: latency is the work sum
-            cache_hit: false,
-            req: 0, // attributed by `request`
-            manifest: manifest.hash(),
+        let (program, prog_ns) = match self.images.get(image_key) {
+            Some(img) => {
+                avoided_ns += img.rebuild_ns;
+                (img, 0)
+            }
+            None => self.build_program(&out.module, image_key, reply_key, client, &externs)?,
         };
-        self.cache_reply(key, &reply, ctx.gen, out.deps, root, bp, &manifest);
-        Ok(reply)
+        Ok(Bound {
+            libraries,
+            bases,
+            program,
+            client,
+            link_ns: link_ns.iter().sum::<u64>() + prog_ns,
+            link_latency: link_latency + prog_ns,
+            reused,
+            avoided_ns,
+        })
     }
 
-    /// Builds the resolution manifest from what the build *actually*
-    /// produced: placed bases from the solver, export addresses from
-    /// the bound images, image keys from the cache entries, and the
-    /// interpositions the evaluation's merge engine decided. The
-    /// statically derived manifest ([`derive_manifest`]) must agree
-    /// byte-for-byte — the differential tests compare the two with
-    /// [`divergence`].
-    #[allow(clippy::too_many_arguments)]
-    fn manifest_from_actuals(
-        &self,
-        bp: &Blueprint,
-        key: ContentHash,
-        out: &EvalOutput,
-        libraries: &[Arc<CachedImage>],
-        bases: &[(u32, u32)],
-        program: &Arc<CachedImage>,
-        client: (u32, u32),
-    ) -> ResolutionManifest {
-        let uses = &out.libraries;
-        let mut lib_res = Vec::with_capacity(libraries.len());
-        for ((u, img), &(text_base, data_base)) in uses.iter().zip(libraries).zip(bases) {
-            lib_res.push(LibraryResolution {
-                name: u.name.clone(),
-                key: u.key,
-                text_base,
-                data_base,
-                image_key: img.key,
-            });
-        }
-        let mut candidates = program_candidates(&program.image.symbols);
-        for (u, img) in uses.iter().zip(libraries) {
-            candidates.extend(
-                img.image
-                    .symbols
-                    .iter()
-                    .map(|(s, &a)| (s.as_str(), u.name.as_str(), a)),
-            );
-        }
-        ResolutionManifest {
-            root: key,
-            libraries: lib_res,
-            program: ProgramResolution {
-                text_base: client.0,
-                data_base: client.1,
-                image_key: program.key,
-            },
-            bindings: bindings_of(candidates),
-            interpositions: out.interpositions.clone(),
-            policies: bp.canonical_policies(),
-        }
-    }
-
-    /// The incremental relink engine: rebuilds a stale reply by
-    /// relinking only the subgraph the old→new manifest diff dirties.
-    ///
-    /// The old (seed) manifest records the resolution the dropped reply
-    /// committed to; the new resolution is derived statically from a
-    /// fresh evaluation plus a placement replay on a copy of the solver
-    /// state ([`derive_manifest_from_eval`] — no link runs). The plan
-    /// ([`plan_relink`]) then classifies each library: an identical
-    /// resolution row means the cached image is byte-valid as-is (its
-    /// image key covers content, placement, and extern environment), so
-    /// it is reused at zero link cost with its retained placement
-    /// replayed into the solver; anything else places and links through
-    /// the ordinary library path. The program frame relinks whenever
-    /// its image key moved.
-    ///
-    /// Every reused artifact is *verified* against the derivation
-    /// (image key, placed bases), and the final manifest built from
-    /// actual artifacts must equal the derived one — any mismatch
-    /// returns `None` and the caller falls back to the authoritative
-    /// full build. Evaluation runs sequentially regardless of
-    /// `eval_jobs`: results are byte-identical either way, and the
-    /// incremental path's work is dominated by reuse.
-    fn relink_reply(
-        &self,
-        bp: &Arc<Blueprint>,
-        root: Option<&str>,
-        key: ContentHash,
-        seed: &[u8],
-        seeded: bool,
-    ) -> Option<InstantiateReply> {
-        let before = ResolutionManifest::decode(seed).ok()?;
-        let ctx = ReqCtx::new(self);
-        let mut server_ns = self.cost.server_cached_request_ns; // baseline handling
-        self.tracer.advance(self.cost.server_cached_request_ns);
-
-        let span = self.tracer.open(SpanKind::Eval);
-        let out = eval_blueprint(bp, &ctx);
-        let eval_ns = out
-            .as_ref()
-            .map_or(0, |o| eval_work_ns(&o.stats, &self.cost));
-        self.tracer.close_leaf(span, Stage::Eval, eval_ns);
-        // An eval error falls back: the full path surfaces it with its
-        // exact error shape (and pays nothing extra — the eval cache
-        // holds every subtree this attempt resolved).
-        let mut out = out.ok()?;
-        server_ns += eval_ns;
-        // A policy rejection falls back too: the full path re-applies
-        // the policies and surfaces the deny with its exact error shape.
-        server_ns += self.apply_policies(bp, &mut out).ok()?;
-
-        let derived = {
-            let state = self.solver().export_state();
-            derive_manifest_from_eval(bp, &out, &state).ok()?
-        };
-        if derived.libraries.len() != out.libraries.len() {
-            return None;
-        }
-        let plan = plan_relink(&before, &derived);
-
-        // Execute the plan in resolution order: reuses fold their
-        // cached exports into the extern environment exactly as a
-        // rebuild would, so downstream relinks see identical inputs.
-        let relink_span = self.tracer.open(SpanKind::RelinkPartial);
-        let mut externs: HashMap<String, u32> = HashMap::new();
-        let mut libraries = Vec::with_capacity(out.libraries.len());
-        let mut bases = Vec::with_capacity(out.libraries.len());
-        let mut reused = 0u64;
-        let mut relinked = 0u64;
-        let mut relink_ns = 0u64;
-        let mut avoided_ns = 0u64;
-        let mut ok = true;
-        for ((lu, dr), row) in out
-            .libraries
-            .iter()
-            .zip(&derived.libraries)
-            .zip(&plan.libraries)
-        {
-            if lu.name != dr.name || lu.key != dr.key {
-                ok = false;
-                break;
-            }
-            let mut done = false;
-            if row.action == LibAction::Reuse {
-                // Replay the retained placement (re-books the manifest's
-                // exact ranges; no solving), then reuse the cached image
-                // by content key. Either failing demotes to a relink —
-                // which reproduces the identical image by construction.
-                let replayed = self
-                    .solver()
-                    .replay_retained(
-                        &lu.name,
-                        lu.key.0,
-                        &[u64::from(dr.text_base), u64::from(dr.data_base)],
-                    )
-                    .is_some();
-                if replayed {
-                    if let Some(img) = self.images.get(dr.image_key) {
-                        let span = self.tracer.open(SpanKind::Reuse);
-                        self.tracer.close_leaf(span, Stage::Reuse, 0);
-                        for (s, a) in &img.image.symbols {
-                            externs.entry(s.clone()).or_insert(*a);
-                        }
-                        // The link work this reuse skipped; a cold full
-                        // relink would re-pay exactly this (the
-                        // simulation is deterministic).
-                        avoided_ns += img.rebuild_ns;
-                        libraries.push(img);
-                        bases.push((dr.text_base, dr.data_base));
-                        reused += 1;
-                        done = true;
-                    }
-                }
-            }
-            if !done {
-                let Ok((img, ns, placed)) = self.instantiate_library(lu, &externs) else {
-                    ok = false;
-                    break;
-                };
-                // The derivation is the oracle of what this build must
-                // produce; disagreement means the plan was computed
-                // against a state that has since moved.
-                if img.key != dr.image_key || placed != (dr.text_base, dr.data_base) {
-                    ok = false;
-                    break;
-                }
-                server_ns += ns;
-                relink_ns += ns;
-                for (s, a) in &img.image.symbols {
-                    externs.entry(s.clone()).or_insert(*a);
-                }
-                libraries.push(img);
-                bases.push(placed);
-                relinked += 1;
-            }
-        }
-
-        let mut program = None;
-        if ok {
-            let (text_base, data_base) = client_bases(&out.constraints);
-            let image_key = {
-                let mut k = out.module.content_hash().with_str("program");
-                for l in &libraries {
-                    k = k.combine(l.key);
-                }
-                k.with_u64(u64::from(text_base))
-                    .with_u64(u64::from(data_base))
-            };
-            if image_key == derived.program.image_key
-                && (text_base, data_base) == (derived.program.text_base, derived.program.data_base)
-            {
-                match self.images.get(image_key) {
-                    Some(img) => {
-                        avoided_ns += img.rebuild_ns;
-                        program = Some((img, text_base, data_base));
-                    }
-                    None => {
-                        if let Ok((img, ns)) = self.build_program(
-                            &out.module,
-                            image_key,
-                            key,
-                            text_base,
-                            data_base,
-                            &externs,
-                        ) {
-                            server_ns += ns;
-                            relink_ns += ns;
-                            program = Some((img, text_base, data_base));
-                        }
-                    }
-                }
-            }
-        }
-        self.tracer.note(Stage::RelinkPartial, relink_ns);
-        self.tracer.close(relink_span);
-        let (program, text_base, data_base) = program?;
-
-        // Patching the cached reply's bindings for the dirtied symbols
-        // is real (cheap) work: one relocation-sized write per changed
-        // binding.
-        let patch_ns = plan.diff.changed_symbols().len() as u64 * self.cost.reloc_ns;
-        server_ns += patch_ns;
-        self.tracer.advance(patch_ns);
-
-        // Final guard: the manifest built from the artifacts actually
-        // assembled must equal the derived one bit-for-bit. This is the
-        // same contract the differential tests pin for the full path.
-        let manifest = self.manifest_from_actuals(
-            bp,
-            key,
-            &out,
-            &libraries,
-            &bases,
-            &program,
-            (text_base, data_base),
-        );
-        if manifest != derived {
-            return None;
-        }
-        self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
-        let reply = InstantiateReply {
-            program,
-            libraries,
-            server_ns,
-            latency_ns: server_ns, // sequential: latency is the work sum
-            cache_hit: false,
-            req: 0, // attributed by `request`
-            manifest: manifest.hash(),
-        };
-        // The patch lands as an in-place overwrite of the reply-cache
-        // slot (same key) rather than an evict-then-miss cycle.
-        self.cache_reply(key, &reply, ctx.gen, out.deps, root, bp, &manifest);
-        self.tracer
-            .relink(reused, relinked, !seeded, seeded, avoided_ns);
-        Some(reply)
+    /// Reuses a library the relink plan marked clean: replays its
+    /// retained placement (re-books the manifest's exact ranges; no
+    /// solving) and takes the cached image by its key. `None` demotes
+    /// the library to the library step, which reproduces the identical
+    /// image by construction.
+    fn reuse_library(&self, lib: &LibraryUse, row: &LibraryResolution) -> Option<LibraryBuild> {
+        let bases = [u64::from(row.text_base), u64::from(row.data_base)];
+        self.solver()
+            .replay_retained(&lib.name, lib.key.0, &bases)?;
+        let img = self.images.get(row.image_key)?;
+        let span = self.tracer.open(SpanKind::Reuse);
+        self.tracer.close_leaf(span, Stage::Reuse, 0);
+        Some((img, 0, (row.text_base, row.data_base)))
     }
 
     /// The canonical resolution manifest for an arbitrary blueprint,
@@ -1062,207 +936,6 @@ impl Omos {
     pub fn explain(&self, path: &str) -> Result<ResolutionManifest, OmosError> {
         let (bp, _) = self.root_blueprint(path)?;
         self.explain_blueprint(&bp)
-    }
-
-    /// The parallel cold-build path (`eval_jobs > 1`): plans the
-    /// m-graph into a work-unit DAG and executes it on a scoped worker
-    /// pool, prepares every referenced library serially (placement and
-    /// symbol layout — cheap and order-sensitive), then links the
-    /// independent library images concurrently before the final
-    /// program link. `server_ns` bills exactly the work sum the
-    /// sequential path would, regardless of completion order;
-    /// `latency_ns` (and the span timeline) bill the critical path of
-    /// the simulated schedule.
-    fn build_reply_parallel(
-        &self,
-        bp: &Arc<Blueprint>,
-        root: Option<&str>,
-        key: ContentHash,
-        ctx: &ReqCtx<'_>,
-        jobs: usize,
-    ) -> Result<InstantiateReply, OmosError> {
-        let mut server_ns = self.cost.server_cached_request_ns; // baseline handling
-        self.tracer.advance(self.cost.server_cached_request_ns);
-
-        // Evaluate: plan (serial) + execute on the work-stealing pool.
-        let span = self.tracer.open(SpanKind::Eval);
-        let par = eval_blueprint_parallel(bp, ctx, jobs);
-        let (eval_ns, plan_ns, eval_makespan) = match &par {
-            Ok(p) => {
-                let plan_ns = p.output.stats.nodes * self.cost.lookup_ns;
-                let (slots, makespan) = schedule_units(&p.units, &self.cost, jobs);
-                for &(start, lane, dur) in &slots {
-                    if dur > 0 {
-                        self.tracer
-                            .span_at(SpanKind::EvalUnit, plan_ns + start, dur, lane);
-                    }
-                }
-                (eval_work_ns(&p.output.stats, &self.cost), plan_ns, makespan)
-            }
-            Err(_) => (0, 0, 0),
-        };
-        // Close the Eval span over the *critical path*: planning is
-        // serial, the unit makespan is what a `jobs`-wide pool needs.
-        // The billed work (`server_ns`) is still the full sum.
-        self.tracer
-            .close_leaf(span, Stage::Eval, plan_ns + eval_makespan);
-        let mut out = par?.output;
-        server_ns += eval_ns;
-        // Policy application is serial (it rewrites the single program
-        // module), so it lands on the critical path as well.
-        let policy_ns = self.apply_policies(bp, &mut out)?;
-        server_ns += policy_ns;
-
-        // Prepare every library serially: placement order and the
-        // left-to-right extern fold are semantically ordered ("all
-        // definitions of variables must be made in the library furthest
-        // downstream"), and both are cheap. `layout_symbols` yields
-        // each library's final export addresses from layout alone, so
-        // the expensive part — the links — can run concurrently below.
-        let mut externs: HashMap<String, u32> = HashMap::new();
-        let mut prepared = Vec::with_capacity(out.libraries.len());
-        let mut seen_keys = std::collections::HashSet::new();
-        for lib in &out.libraries {
-            let mut p = self.prepare_library(lib, &externs)?;
-            if p.work.is_some() && !seen_keys.insert(p.image_key) {
-                // Duplicate image key within this request: the first
-                // occurrence links it; this one reuses the cached image
-                // at zero cost (as the sequential fast path would).
-                p.work = None;
-            }
-            for (s, a) in &p.symbols {
-                externs.entry(s.clone()).or_insert(*a);
-            }
-            prepared.push(p);
-        }
-
-        // Link whatever wasn't cached, concurrently: workers claim
-        // items off a shared cursor, and a link and its framing touch
-        // no shared state. The images are then installed on this
-        // thread in *library order* — so the cache sees the same
-        // insertion order (epochs, eviction victims) whatever order the
-        // links complete in — and the first error in library order is
-        // surfaced, as on the sequential path. Worker threads carry no
-        // per-request trace state, so the work is metered onto the
-        // request timeline afterwards, as sibling lane spans.
-        let work: Vec<(usize, ObjectFile, LinkOptions, ContentHash)> = prepared
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, p)| p.work.take().map(|(obj, opts)| (i, obj, opts, p.image_key)))
-            .collect();
-        let mut link_ns = vec![0u64; prepared.len()];
-        let mut linked_by_key: HashMap<ContentHash, Arc<CachedImage>> = HashMap::new();
-        if !work.is_empty() {
-            let cursor = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<LinkedLib>>> =
-                work.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for _ in 0..jobs.min(work.len()) {
-                    s.spawn(|| loop {
-                        let at = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((_, obj, opts, _)) = work.get(at) else {
-                            break;
-                        };
-                        let linked = link(std::slice::from_ref(obj), opts).map(|l| {
-                            let frames = ImageFrames::from_image(&l.image);
-                            (l, frames)
-                        });
-                        *lock(&slots[at]) = Some(linked);
-                    });
-                }
-            });
-            for ((idx, _, _, image_key), slot) in work.iter().zip(slots) {
-                let linked = slot
-                    .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .ok_or_else(|| OmosError::Client("library link did not run".into()))??;
-                // The install ends the link unit, so it stays off the
-                // request timeline like the link itself.
-                let (img, ns) = self
-                    .tracer
-                    .detached(|| self.install_linked(*image_key, linked))?;
-                link_ns[*idx] = ns;
-                // Hold the Arc: probing the cache again below would
-                // race a tight budget that already evicted the image.
-                linked_by_key.insert(*image_key, img);
-            }
-        }
-        let (slots, link_makespan) = schedule_independent(&link_ns, jobs);
-        for (i, &(start, lane)) in slots.iter().enumerate() {
-            if link_ns[i] > 0 {
-                self.tracer.span_at(SpanKind::Link, start, link_ns[i], lane);
-                self.tracer.note(Stage::Link, link_ns[i]);
-            }
-        }
-        self.tracer.advance(link_makespan);
-        server_ns += link_ns.iter().sum::<u64>();
-        // Every uncached entry was either linked above or deduped
-        // against an earlier work item with the same key, so
-        // `linked_by_key` covers it — never re-probe the cache here,
-        // which under a tight byte budget may have evicted the image
-        // already (that re-probe used to be an `expect()` panic).
-        let libraries: Vec<Arc<CachedImage>> = prepared
-            .iter()
-            .map(|p| match (&p.cached, linked_by_key.get(&p.image_key)) {
-                (Some(img), _) | (None, Some(img)) => Ok(Arc::clone(img)),
-                (None, None) => Err(OmosError::Client(format!(
-                    "library image {:?} vanished during linking",
-                    p.image_key
-                ))),
-            })
-            .collect::<Result<_, _>>()?;
-
-        // Link the client against the placed libraries (single-flight,
-        // on the request thread: the address-constraint solve and the
-        // program link stay serialized).
-        let (text_base, data_base) = client_bases(&out.constraints);
-        let image_key = {
-            let mut k = out.module.content_hash().with_str("program");
-            for l in &libraries {
-                k = k.combine(l.key);
-            }
-            k.with_u64(u64::from(text_base))
-                .with_u64(u64::from(data_base))
-        };
-        let (program, prog_ns) = match self.images.get(image_key) {
-            Some(img) => (img, 0),
-            None => {
-                self.build_program(&out.module, image_key, key, text_base, data_base, &externs)?
-            }
-        };
-        server_ns += prog_ns;
-
-        let bases: Vec<(u32, u32)> = prepared
-            .iter()
-            .map(|p| (p.text_base, p.data_base))
-            .collect();
-        let manifest = self.manifest_from_actuals(
-            bp,
-            key,
-            &out,
-            &libraries,
-            &bases,
-            &program,
-            (text_base, data_base),
-        );
-        self.counters.cpu_ns.fetch_add(server_ns, Ordering::Relaxed);
-        let latency_ns = self.cost.server_cached_request_ns
-            + plan_ns
-            + eval_makespan
-            + policy_ns
-            + link_makespan
-            + prog_ns;
-        let reply = InstantiateReply {
-            program,
-            libraries,
-            server_ns,
-            latency_ns,
-            cache_hit: false,
-            req: 0, // attributed by `request`
-            manifest: manifest.hash(),
-        };
-        self.cache_reply(key, &reply, ctx.gen, out.deps, root, bp, &manifest);
-        Ok(reply)
     }
 
     /// Caches a freshly built reply under its blueprint key. The
@@ -1301,9 +974,8 @@ impl Omos {
         module: &Module,
         image_key: ContentHash,
         reply_key: ContentHash,
-        text_base: u32,
-        data_base: u32,
-        externs: &HashMap<String, u32>,
+        (text_base, data_base): (u32, u32),
+        externs: &BTreeMap<String, u32>,
     ) -> Result<(Arc<CachedImage>, u64), OmosError> {
         let (result, _led) = self.image_flight.run(image_key, || {
             if let Some(img) = self.images.get(image_key) {
@@ -1314,7 +986,7 @@ impl Omos {
             opts.name = format!("<program:{reply_key}>");
             opts.text_base = text_base;
             opts.data_base = data_base;
-            opts.externs = externs.clone();
+            opts.externs = link_externs(&obj, externs);
             let span = self.tracer.open(SpanKind::Link);
             let linked = link(&[obj], &opts);
             let ns = linked
@@ -1351,20 +1023,24 @@ impl Omos {
         frames
     }
 
-    /// Builds (or reuses) one self-contained shared library: place with
-    /// the constraint solver, link at the chosen fixed addresses, frame,
-    /// and cache. Concurrent builds of the same placed library coalesce
-    /// on the image key.
+    /// The library step: places one self-contained shared library with
+    /// the constraint solver and keys its bound image
+    /// ([`place_library`]), then takes the image from the cache or
+    /// links it at the placed addresses, frames and caches it.
+    /// Concurrent builds of the same placed library coalesce on the
+    /// image key. `detach_link` runs the link off the request timeline,
+    /// for a caller that lays it out on a simulated lane itself.
     ///
-    /// Returns the cached image, its simulated build cost in ns, and
-    /// the (text, data) bases it was placed at.
+    /// Returns the image, the link work it cost in ns (0 when it was
+    /// cached), and the (text, data) bases it was placed at.
     fn instantiate_library(
         &self,
         lib: &LibraryUse,
-        externs: &HashMap<String, u32>,
+        externs: &BTreeMap<String, u32>,
+        detach_link: bool,
     ) -> Result<LibraryBuild, OmosError> {
         let span = self.tracer.open(SpanKind::LibraryBuild);
-        let result = self.instantiate_library_inner(lib, externs);
+        let result = self.instantiate_library_inner(lib, externs, detach_link);
         self.tracer.close(span);
         result
     }
@@ -1372,213 +1048,62 @@ impl Omos {
     fn instantiate_library_inner(
         &self,
         lib: &LibraryUse,
-        externs: &HashMap<String, u32>,
+        externs: &BTreeMap<String, u32>,
+        detach_link: bool,
     ) -> Result<LibraryBuild, OmosError> {
         let obj = lib.module.materialize().map_err(OmosError::Obj)?;
-        let text_size = obj.size_of_kind(SectionKind::Text) + obj.size_of_kind(SectionKind::RoData);
-        let data_size = obj.size_of_kind(SectionKind::Data) + obj.size_of_kind(SectionKind::Bss);
-
-        let mut segments = Vec::new();
-        let text_pref = pref_for(&lib.constraints, RegionClass::Text);
-        let data_pref = pref_for(&lib.constraints, RegionClass::Data);
-        segments.push(SegmentRequest {
-            class: RegionClass::Text,
-            size: round_page(text_size.max(1)),
-            align: 4096,
-            preferred: text_pref,
-        });
-        segments.push(SegmentRequest {
-            class: RegionClass::Data,
-            size: round_page(data_size.max(1)),
-            align: 4096,
-            preferred: data_pref,
-        });
-        // Placement is get-or-reuse per (name, key): concurrent callers
-        // for the same library receive the same bases. The span's cost
-        // is metered (one lookup per segment) but unbilled: placement
-        // state is global, its cost amortized across all clients.
-        let span = self.tracer.open(SpanKind::Placement);
-        let placement = self.solver().place(
-            &PlacementRequest {
-                name: lib.name.clone(),
-                key: lib.key.0,
-                segments,
-            },
-            &[],
-        );
-        let place_ns = placement
-            .as_ref()
-            .map_or(0, |p| p.allocations.len() as u64 * self.cost.lookup_ns);
-        self.tracer.close_leaf(span, Stage::Placement, place_ns);
-        let placement = placement?;
-        let text_base = placement.allocations[0].base as u32;
-        let data_base = placement.allocations[1].base as u32;
-
-        // The key covers content, placement, AND the extern bindings the
-        // library links against: if a dependency moved or was rebuilt,
-        // this library's bound image is stale even though its own bytes
-        // and base are unchanged.
-        let mut image_key = lib
-            .key
-            .with_str("library")
-            .with_u64(u64::from(text_base))
-            .with_u64(u64::from(data_base));
-        {
-            let mut ext: Vec<(&String, &u32)> = externs.iter().collect();
-            ext.sort();
-            for (name, addr) in ext {
-                image_key = image_key.with_str(name).with_u64(u64::from(*addr));
-            }
-        }
-        if let Some(img) = self.images.get(image_key) {
-            return Ok((img, 0, (text_base, data_base)));
-        }
-
-        let (result, _led) = self.image_flight.run(image_key, || {
-            if let Some(img) = self.images.get(image_key) {
-                return Ok((img, 0));
-            }
-            let mut opts = LinkOptions::library(&lib.name, text_base, data_base);
-            opts.externs = externs.clone();
-            let span = self.tracer.open(SpanKind::Link);
-            let linked = link(std::slice::from_ref(&obj), &opts);
-            let server_ns = linked
+        let (bases, image_key) = place_library(lib, &obj, externs, |req| {
+            // Placement is get-or-reuse per (name, key): concurrent
+            // callers for the same library receive the same bases. The
+            // span's cost is metered (one lookup per segment) but
+            // unbilled: placement state is global, its cost amortized
+            // across all clients.
+            let span = self.tracer.open(SpanKind::Placement);
+            let placement = self.solver().place(req, &[]);
+            let place_ns = placement
                 .as_ref()
-                .map_or(0, |l| link_work_ns(&l.stats, &self.cost));
-            self.tracer.close_leaf(span, Stage::Link, server_ns);
-            let linked = linked?;
-            self.counters
-                .libraries_built
-                .fetch_add(1, Ordering::Relaxed);
-            let img = self.images.insert(CachedImage {
-                key: image_key,
-                frames: self.framed(&linked.image),
-                image: linked.image,
-                link_stats: linked.stats,
-                rebuild_ns: server_ns,
-                epoch: 0,
-            });
-            Ok((img, server_ns))
-        });
-        result.map(|(img, ns)| (img, ns, (text_base, data_base)))
-    }
-
-    /// Places one library and computes its planned export map
-    /// *without linking*: [`layout_symbols`] derives the final
-    /// addresses from layout alone (the linker's own layout pass), so
-    /// downstream libraries' extern folds and image keys are available
-    /// before any link has run — which is what frees the links
-    /// themselves to run concurrently.
-    fn prepare_library(
-        &self,
-        lib: &LibraryUse,
-        externs: &HashMap<String, u32>,
-    ) -> Result<PreparedLib, OmosError> {
-        let obj = lib.module.materialize().map_err(OmosError::Obj)?;
-        let text_size = obj.size_of_kind(SectionKind::Text) + obj.size_of_kind(SectionKind::RoData);
-        let data_size = obj.size_of_kind(SectionKind::Data) + obj.size_of_kind(SectionKind::Bss);
-
-        let mut segments = Vec::new();
-        let text_pref = pref_for(&lib.constraints, RegionClass::Text);
-        let data_pref = pref_for(&lib.constraints, RegionClass::Data);
-        segments.push(SegmentRequest {
-            class: RegionClass::Text,
-            size: round_page(text_size.max(1)),
-            align: 4096,
-            preferred: text_pref,
-        });
-        segments.push(SegmentRequest {
-            class: RegionClass::Data,
-            size: round_page(data_size.max(1)),
-            align: 4096,
-            preferred: data_pref,
-        });
-        let span = self.tracer.open(SpanKind::Placement);
-        let placement = self.solver().place(
-            &PlacementRequest {
-                name: lib.name.clone(),
-                key: lib.key.0,
-                segments,
-            },
-            &[],
-        );
-        let place_ns = placement
-            .as_ref()
-            .map_or(0, |p| p.allocations.len() as u64 * self.cost.lookup_ns);
-        self.tracer.close_leaf(span, Stage::Placement, place_ns);
-        let placement = placement?;
-        let text_base = placement.allocations[0].base as u32;
-        let data_base = placement.allocations[1].base as u32;
-
-        let mut image_key = lib
-            .key
-            .with_str("library")
-            .with_u64(u64::from(text_base))
-            .with_u64(u64::from(data_base));
-        {
-            let mut ext: Vec<(&String, &u32)> = externs.iter().collect();
-            ext.sort();
-            for (name, addr) in ext {
-                image_key = image_key.with_str(name).with_u64(u64::from(*addr));
-            }
-        }
+                .map_or(0, |p| p.allocations.len() as u64 * self.cost.lookup_ns);
+            self.tracer.close_leaf(span, Stage::Placement, place_ns);
+            placement
+        })?;
         if let Some(img) = self.images.get(image_key) {
-            let symbols = img.image.symbols.clone();
-            return Ok(PreparedLib {
-                image_key,
-                text_base,
-                data_base,
-                symbols,
-                cached: Some(img),
-                work: None,
-            });
+            return Ok((img, 0, bases));
         }
-        let mut opts = LinkOptions::library(&lib.name, text_base, data_base);
-        opts.externs = externs.clone();
-        let symbols = layout_symbols(std::slice::from_ref(&obj), &opts)?;
-        Ok(PreparedLib {
-            image_key,
-            text_base,
-            data_base,
-            symbols,
-            cached: None,
-            work: Some((obj, opts)),
-        })
-    }
 
-    /// Installs one library image linked and framed on a link worker
-    /// (single-flight per image key, like every image build): an image
-    /// a concurrent request installed first is shared at zero cost, as
-    /// a cache hit would be, and this link is dropped.
-    fn install_linked(
-        &self,
-        image_key: ContentHash,
-        (linked, frames): (LinkOutput, ImageFrames),
-    ) -> Result<(Arc<CachedImage>, u64), OmosError> {
-        let parts = std::cell::Cell::new(Some((linked, frames)));
-        let (result, _led) = self.image_flight.run(image_key, || {
-            if let Some(img) = self.images.get(image_key) {
-                return Ok((img, 0));
-            }
-            // A flight runs its leader's closure once.
-            let (linked, frames) = parts
-                .take()
-                .ok_or_else(|| OmosError::Client("library image installed twice".into()))?;
-            let ns = link_work_ns(&linked.stats, &self.cost);
-            self.counters
-                .libraries_built
-                .fetch_add(1, Ordering::Relaxed);
-            let img = self.images.insert(CachedImage {
-                key: image_key,
-                frames,
-                image: linked.image,
-                link_stats: linked.stats,
-                rebuild_ns: ns,
-                epoch: 0,
-            });
-            Ok((img, ns))
-        });
-        result
+        let run = || {
+            self.image_flight.run(image_key, || {
+                if let Some(img) = self.images.get(image_key) {
+                    return Ok((img, 0));
+                }
+                let mut opts = LinkOptions::library(&lib.name, bases.0, bases.1);
+                opts.externs = link_externs(&obj, externs);
+                let span = self.tracer.open(SpanKind::Link);
+                let linked = link(std::slice::from_ref(&obj), &opts);
+                let server_ns = linked
+                    .as_ref()
+                    .map_or(0, |l| link_work_ns(&l.stats, &self.cost));
+                self.tracer.close_leaf(span, Stage::Link, server_ns);
+                let linked = linked?;
+                self.counters
+                    .libraries_built
+                    .fetch_add(1, Ordering::Relaxed);
+                let img = self.images.insert(CachedImage {
+                    key: image_key,
+                    frames: self.framed(&linked.image),
+                    image: linked.image,
+                    link_stats: linked.stats,
+                    rebuild_ns: server_ns,
+                    epoch: 0,
+                });
+                Ok((img, server_ns))
+            })
+        };
+        let (result, _led) = if detach_link {
+            self.tracer.detached(run)
+        } else {
+            run()
+        };
+        result.map(|(img, ns)| (img, ns, bases))
     }
 
     /// Registers (or finds) a `lib-dynamic` implementation.
@@ -1628,7 +1153,7 @@ impl Omos {
                 module: lib.module.clone(),
                 constraints: Vec::new(),
             };
-            let (img, ns, _) = self.instantiate_library(&lib_use, &HashMap::new())?;
+            let (img, ns, _) = self.instantiate_library(&lib_use, &BTreeMap::new(), false)?;
             server_ns += ns;
             let entries: Vec<(String, u32)> = img
                 .image
@@ -1679,9 +1204,7 @@ impl LintContext for NamespaceLint<'_> {
 /// Dependency *recording* lives in the evaluator itself — it owns the
 /// subtree scope stack and hands `cache_put` each cached subtree's
 /// precise record (a subtree shared by two programs does not drag one
-/// program's private dependencies into the other's reply). That keeps
-/// this context `&self`-safe, so the parallel executor's worker
-/// threads can share one instance without locking.
+/// program's private dependencies into the other's reply).
 pub(crate) struct ReqCtx<'a> {
     server: &'a Omos,
     /// Namespace generation when the request started.
@@ -1765,28 +1288,84 @@ impl EvalContext for ReqCtx<'_> {
     }
 }
 
-/// A library linked and framed on a link worker, before installation.
-type LinkedLib = Result<(LinkOutput, ImageFrames), omos_link::LinkError>;
+/// The images one build bound: the libraries in resolution order with
+/// their placed bases, then the program at its client bases.
+struct Bound {
+    libraries: Vec<Arc<CachedImage>>,
+    bases: Vec<(u32, u32)>,
+    program: Arc<CachedImage>,
+    client: (u32, u32),
+    /// Link work billed: every library and program link the build ran.
+    link_ns: u64,
+    /// The simulated latency of that work.
+    link_latency: u64,
+    /// Libraries a relink reused.
+    reused: u64,
+    /// Link work the reused images (and a cached program) would have
+    /// cost to rebuild.
+    avoided_ns: u64,
+}
 
-/// One library readied for the concurrent link phase: placed, keyed,
-/// and with its planned export map already derived from layout.
-struct PreparedLib {
-    image_key: ContentHash,
-    /// Placed text-segment base (for the reply's manifest).
-    text_base: u32,
-    /// Placed data-segment base.
-    data_base: u32,
-    /// Export name → final address (from the cached image or from
-    /// [`layout_symbols`]); folded into downstream externs.
-    symbols: HashMap<String, u32>,
-    /// Already in the image cache (no link needed).
-    cached: Option<Arc<CachedImage>>,
-    /// Needs a link: the materialized object and the bound options.
-    work: Option<(ObjectFile, LinkOptions)>,
+impl Bound {
+    /// The resolution manifest of what the build *actually* produced:
+    /// placed bases from the solver, export addresses from the bound
+    /// images, image keys from the cache entries, and the
+    /// interpositions the evaluation's merge engine decided. The
+    /// statically derived manifest ([`derive_manifest`]) must agree
+    /// byte-for-byte; the differential tests compare the two with
+    /// [`divergence`](omos_analysis::manifest::divergence).
+    fn manifest(&self, bp: &Blueprint, key: ContentHash, out: &EvalOutput) -> ResolutionManifest {
+        let uses = &out.libraries;
+        let libraries = uses
+            .iter()
+            .zip(&self.libraries)
+            .zip(&self.bases)
+            .map(|((u, img), &(text_base, data_base))| LibraryResolution {
+                name: u.name.clone(),
+                key: u.key,
+                text_base,
+                data_base,
+                image_key: img.key,
+            })
+            .collect();
+        let mut candidates = program_candidates(&self.program.image.symbols);
+        for (u, img) in uses.iter().zip(&self.libraries) {
+            candidates.extend(
+                img.image
+                    .symbols
+                    .iter()
+                    .map(|(s, &a)| (s.as_str(), u.name.as_str(), a)),
+            );
+        }
+        ResolutionManifest {
+            root: key,
+            libraries,
+            program: ProgramResolution {
+                text_base: self.client.0,
+                data_base: self.client.1,
+                image_key: self.program.key,
+            },
+            bindings: bindings_of(candidates),
+            interpositions: out.interpositions.clone(),
+            policies: bp.canonical_policies(),
+        }
+    }
+}
+
+/// The bindings of the extern environment `obj`'s relocations can
+/// use, in the form [`LinkOptions::externs`] takes. The linker reads
+/// externs only to resolve relocations, so the link is the one the
+/// whole environment would give, without copying it for every image.
+fn link_externs(obj: &ObjectFile, externs: &BTreeMap<String, u32>) -> HashMap<String, u32> {
+    obj.relocs
+        .iter()
+        .filter_map(|r| externs.get_key_value(&r.symbol))
+        .map(|(s, &a)| (s.clone(), a))
+        .collect()
 }
 
 /// Deterministic greedy list schedule of the work-unit DAG onto
-/// `lanes` identical simulated workers: units in plan (ordinal) order,
+/// `lanes` identical simulated workers: units in ordinal order,
 /// each placed on the lane that lets it start earliest, ties to the
 /// lowest lane. Units are costed at their simulated work (merge steps
 /// and source compiles); pure view shuffles are free. Returns per-unit
@@ -1840,21 +1419,6 @@ fn schedule_independent(durs: &[u64], lanes: usize) -> (Vec<(u64, u16)>, u64) {
         placed.push((start, (best + 1) as u16));
     }
     (placed, makespan)
-}
-
-fn round_page(v: u64) -> u64 {
-    (v + 4095) & !4095
-}
-
-fn pref_for(cs: &[(RegionClass, u64)], class: RegionClass) -> Option<u64> {
-    cs.iter().find(|(c, _)| *c == class).map(|(_, a)| *a)
-}
-
-fn client_bases(cs: &[(RegionClass, u64)]) -> (u32, u32) {
-    (
-        pref_for(cs, RegionClass::Text).map_or(CLIENT_TEXT_BASE, |a| a as u32),
-        pref_for(cs, RegionClass::Data).map_or(CLIENT_DATA_BASE, |a| a as u32),
-    )
 }
 
 pub(crate) fn link_work_ns(s: &LinkStats, cost: &CostModel) -> u64 {
@@ -1959,9 +1523,9 @@ mod tests {
     }
 
     #[test]
-    fn tiny_image_budget_with_parallel_link_is_not_a_panic() {
+    fn tiny_image_budget_with_lanes_is_not_a_panic() {
         // Regression: with an image budget too small to keep anything
-        // resident, the parallel link path used to re-probe the cache
+        // resident, a lane-scheduled build used to re-probe the cache
         // for an image it had just inserted (and the cache had already
         // evicted) and panicked on the missing entry. Linked images
         // must flow to the reply directly, not via a cache round-trip.
@@ -2211,9 +1775,12 @@ impl Omos {
 
         // Resolve any referenced self-contained libraries first, then
         // bind the class against libraries + the client's own exports.
-        let mut externs = client_exports.clone();
+        let mut externs: BTreeMap<String, u32> = client_exports
+            .iter()
+            .map(|(s, &a)| (s.clone(), a))
+            .collect();
         for lib in &out.libraries {
-            let (img, ns, _) = self.instantiate_library(lib, &externs)?;
+            let (img, ns, _) = self.instantiate_library(lib, &externs, false)?;
             server_ns += ns;
             for (s, a) in &img.image.symbols {
                 externs.entry(s.clone()).or_insert(*a);
@@ -2225,7 +1792,7 @@ impl Omos {
             module: out.module,
             constraints: out.constraints.clone(),
         };
-        let (img, ns, _) = self.instantiate_library(&lib_use, &externs)?;
+        let (img, ns, _) = self.instantiate_library(&lib_use, &externs, false)?;
         server_ns += ns;
 
         let mut values = HashMap::new();
@@ -2324,10 +1891,10 @@ impl Omos {
         let out = out?;
         server_ns += eval_ns;
 
-        let mut externs: HashMap<String, u32> = HashMap::new();
+        let mut externs = BTreeMap::new();
         let mut libraries = Vec::with_capacity(out.libraries.len());
         for lib in &out.libraries {
-            let (img, ns, _) = self.instantiate_library(lib, &externs)?;
+            let (img, ns, _) = self.instantiate_library(lib, &externs, false)?;
             server_ns += ns;
             for (s, a) in &img.image.symbols {
                 externs.entry(s.clone()).or_insert(*a);
@@ -2343,7 +1910,7 @@ impl Omos {
         opts.name = format!("<monitored:{path}>");
         opts.text_base = text_base;
         opts.data_base = data_base;
-        opts.externs = externs;
+        opts.externs = link_externs(&obj, &externs);
         let span = self.tracer.open(SpanKind::Link);
         let linked = link(&[obj], &opts);
         let link_ns = linked

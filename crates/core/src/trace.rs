@@ -235,7 +235,7 @@ pub enum SpanKind {
     Ipc,
     /// A `dyn_lookup` request.
     DynLookup,
-    /// One work unit of a parallel evaluation (runs on a worker lane).
+    /// One work unit of an evaluation, laid out on a simulated lane.
     EvalUnit,
     /// A diff-driven incremental relink of the dirtied subgraph.
     RelinkPartial,
@@ -302,8 +302,8 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Duration, ns (0 for instants).
     pub dur_ns: u64,
-    /// Simulated worker lane (0 = the request's own thread; parallel
-    /// evaluation/link units carry their scheduled lane, 1-based).
+    /// Simulated worker lane (0 = the request's own timeline; eval units
+    /// and links laid out on lanes carry their lane, 1-based).
     pub worker: u16,
 }
 
@@ -855,8 +855,8 @@ impl Tracer {
 
     /// Runs `f` outside the calling thread's request context: counters
     /// and histograms record as usual, but no span or instant lands on
-    /// a request timeline — as for work on a worker thread, which the
-    /// caller meters onto the timeline itself.
+    /// a request timeline — as for a link the caller lays out on a
+    /// simulated lane itself.
     pub fn detached<T>(&self, f: impl FnOnce() -> T) -> T {
         struct Restore(Vec<ReqState>);
         impl Drop for Restore {
@@ -951,8 +951,8 @@ impl Tracer {
 
     /// Records a span at `cursor + start_offset_ns` on worker lane
     /// `worker` *without* moving the cursor or touching any histogram.
-    /// Parallel evaluation lays its concurrently-executed units out
-    /// this way: the cursor advances once by the schedule's makespan
+    /// A lane-scheduled build lays its work units and links out this
+    /// way: the cursor advances once by the schedule's makespan
     /// (critical-path billing), while each unit's span shows where on
     /// which lane it ran.
     pub fn span_at(&self, kind: SpanKind, start_offset_ns: u64, dur_ns: u64, worker: u16) {
@@ -974,9 +974,9 @@ impl Tracer {
     }
 
     /// Records `ns` into `stage`'s histogram without a span or cursor
-    /// movement. The parallel path uses this to keep per-stage
-    /// histograms identical to sequential execution while the timeline
-    /// shows overlapped spans.
+    /// movement. A lane-scheduled build uses this to keep per-stage
+    /// histograms identical to the one-lane timeline while the spans
+    /// overlap.
     pub fn note(&self, stage: Stage, ns: u64) {
         if self.enabled() {
             self.hist(stage).record(ns);

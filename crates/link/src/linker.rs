@@ -260,10 +260,9 @@ fn compute_layout(objects: &[ObjectFile], opts: &LinkOptions) -> LinkResult<Layo
 
 /// Computes the exported symbol map of a link — identical to
 /// [`link`]'s `image.symbols` — from layout alone, without copying
-/// section bytes or applying relocations. The parallel instantiation
-/// path uses this to bind downstream libraries' externs before the full
-/// link of this one has run (exports depend only on layout; externs
-/// only affect relocation).
+/// section bytes or applying relocations. The static manifest
+/// derivation uses this to plan export addresses without linking
+/// (exports depend only on layout; externs only affect relocation).
 pub fn layout_symbols(
     objects: &[ObjectFile],
     opts: &LinkOptions,

@@ -43,9 +43,10 @@
 //!                                  instantiate the blueprint on an
 //!                                  in-process server and print the
 //!                                  request's span tree; --eval-jobs N
-//!                                  evaluates and links on N workers
-//!                                  (parallel units show as sibling
-//!                                  spans tagged [w<lane>]); --chrome
+//!                                  lays the cold build's work units
+//!                                  and library links out on N
+//!                                  simulated lanes (sibling spans
+//!                                  tagged [w<lane>]); --chrome
 //!                                  also writes a Chrome-trace export
 //! ofe stats [FILE]                 per-stage latency percentiles and
 //!                                  trace counters from an mcbench
@@ -292,9 +293,9 @@ fn run_basic(cmd: &str, rest: &[String]) -> Result<String, String> {
 /// in-process server, instantiates it once, and prints the request's
 /// span tree. The client-side mapping cost is recorded against the same
 /// request, so the tree covers the full instantiate path: eval, link,
-/// placement, framing, and map. With `jobs > 1` the server evaluates
-/// and links on that many workers; parallel work units render as
-/// sibling spans tagged with their worker lane.
+/// placement, framing, and map. With `jobs > 1` the server lays the
+/// build's work units and library links out on that many simulated
+/// lanes; they render as sibling spans tagged with their lane.
 fn trace_blueprint(
     file: &str,
     jobs: usize,

@@ -9,8 +9,7 @@
 //! The interposition differential holds the two engines to one
 //! `override` semantics: every graph that evaluates reports, through
 //! the merge engine, exactly the replaced names the analyzer's symbolic
-//! walk reports — on a cold and a warm eval cache, sequentially and on
-//! the parallel executor.
+//! walk reports — on a cold and a warm eval cache.
 //!
 //! The last part checks the *cost* claim: analysis never materializes
 //! a view (observed through the per-thread materialize counter) and is
@@ -25,7 +24,7 @@ use omos::analysis::{
     analyze_blueprint, analyze_blueprint_report, Diagnostic, LintContext, LintResolved, Severity,
 };
 use omos::blueprint::eval::{CachedEval, EvalContext, ResolvedNode};
-use omos::blueprint::{eval_blueprint, eval_blueprint_parallel, Blueprint, EvalError};
+use omos::blueprint::{eval_blueprint, Blueprint, EvalError};
 use omos::core::Omos;
 use omos::isa::assemble;
 use omos::module::Module;
@@ -35,8 +34,7 @@ use omos::os::ipc::Transport;
 use omos::os::CostModel;
 
 /// One world serving both the evaluator and the analyzer. The eval
-/// side is `&self` (shared with parallel executor workers), so its
-/// mutable state sits behind mutexes.
+/// side is `&self`, so its mutable state sits behind mutexes.
 #[derive(Default)]
 struct World {
     objects: HashMap<String, Arc<ObjectFile>>,
@@ -350,50 +348,25 @@ fn analyzer_interpositions(bp: &Blueprint, w: &mut World) -> Vec<String> {
     names
 }
 
-/// Evaluation parallelism under test: the sequential evaluator, the
-/// parallel executor at 1 and 4 workers, and `OMOS_EVAL_JOBS` when set.
-fn eval_jobs() -> Vec<usize> {
-    let mut jobs = vec![0, 1, 4];
-    if let Some(j) = std::env::var("OMOS_EVAL_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        jobs.push(j);
-    }
-    jobs
-}
-
-/// Evaluates at `jobs` (0: the sequential evaluator) and returns the
-/// interpositions, or `None` when the graph does not evaluate.
-fn eval_interpositions(bp: &Blueprint, w: &World, jobs: usize) -> Option<Vec<String>> {
-    if jobs == 0 {
-        eval_blueprint(bp, w).ok().map(|o| o.interpositions)
-    } else {
-        eval_blueprint_parallel(bp, w, jobs)
-            .ok()
-            .map(|p| p.output.interpositions)
-    }
+/// Evaluates and returns the interpositions, or `None` when the graph
+/// does not evaluate.
+fn eval_interpositions(bp: &Blueprint, w: &World) -> Option<Vec<String>> {
+    eval_blueprint(bp, w).ok().map(|o| o.interpositions)
 }
 
 proptest! {
     /// For every graph that evaluates, the merge engine's interpositions
     /// equal the analyzer's: with a cold eval cache and again with the
-    /// rows the first evaluation left, at every evaluation parallelism.
+    /// rows the first evaluation left.
     #[test]
     fn eval_interpositions_equal_the_analyzers(bp in arb_override_graph()) {
         let mut w = world();
         let expected = analyzer_interpositions(&bp, &mut w);
-        for jobs in eval_jobs() {
-            let w = world();
-            let Some(cold) = eval_interpositions(&bp, &w, jobs) else {
-                continue;
-            };
-            prop_assert_eq!(&cold, &expected, "cold cache, jobs {}", jobs);
-            let warm = eval_interpositions(&bp, &w, jobs).expect("evaluated cold");
-            prop_assert_eq!(&warm, &expected, "warm cache, jobs {}", jobs);
-            // Rows one engine left serve the other.
-            let other = eval_interpositions(&bp, &w, if jobs == 0 { 4 } else { 0 });
-            prop_assert_eq!(other.as_ref(), Some(&expected), "rows across engines, jobs {}", jobs);
+        let w = world();
+        if let Some(cold) = eval_interpositions(&bp, &w) {
+            prop_assert_eq!(&cold, &expected, "cold cache");
+            let warm = eval_interpositions(&bp, &w).expect("evaluated cold");
+            prop_assert_eq!(&warm, &expected, "warm cache");
         }
     }
 }
@@ -413,14 +386,12 @@ fn interposition_corpus_covers_libraries_and_locals() {
         let bp = Blueprint::parse(src).unwrap();
         let mut w = world();
         assert_eq!(analyzer_interpositions(&bp, &mut w), names, "{src}");
-        for jobs in eval_jobs() {
-            let w = world();
-            assert_eq!(
-                eval_interpositions(&bp, &w, jobs).as_deref(),
-                Some(&names.iter().map(|n| n.to_string()).collect::<Vec<_>>()[..]),
-                "{src} at jobs {jobs}"
-            );
-        }
+        let w = world();
+        assert_eq!(
+            eval_interpositions(&bp, &w).as_deref(),
+            Some(&names.iter().map(|n| n.to_string()).collect::<Vec<_>>()[..]),
+            "{src}"
+        );
     }
 }
 

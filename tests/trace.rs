@@ -273,9 +273,10 @@ fn normalize_line(line: &str) -> String {
     format!("{label}{lane}")
 }
 
-/// Satellite snapshot: a parallel request's sibling work-unit and link
-/// spans render in (start cursor, worker lane) order — never completion
-/// order — so the tree is byte-stable run over run.
+/// Snapshot of a lane-scheduled request: at `eval_jobs` 3 the build
+/// runs inline, and its work-unit and link spans are laid out on
+/// simulated lanes. Siblings render in (start cursor, worker lane)
+/// order, so the tree is byte-stable run over run.
 #[test]
 fn parallel_siblings_render_sorted_by_start_then_worker() {
     let render = || {
@@ -298,29 +299,37 @@ fn parallel_siblings_render_sorted_by_start_then_worker() {
         "  reply-cache probe: miss",
         "  eval",
     ];
-    // One probe per planned node: 8 library objects, 4 library metas,
-    // the client object, and the client merge.
+    // One probe per node: 8 library objects, 4 library metas, the
+    // client object, and the client merge.
     expected.extend(std::iter::repeat_n("    eval-cache probe: miss", 14));
     expected.extend([
-        // The four library evals round-robin three lanes in ordinal
+        // The four library merges round-robin three lanes in ordinal
         // order; the zero-work client merge emits no unit span.
         "    eval-unit [w1]",
         "    eval-unit [w2]",
         "    eval-unit [w3]",
         "    eval-unit [w1]",
-        // Serial prepare: placement and image-cache probe per library...
-        "  placement",
-        "  image-cache probe: miss",
-        "  placement",
-        "  image-cache probe: miss",
-        "  placement",
-        "  image-cache probe: miss",
-        "  placement",
-        "  image-cache probe: miss",
-        // ...then the links fan out over the lanes.
+        // Each library step places the library and probes the image
+        // cache. The probe is an instant at the end of its
+        // library-build span, so it renders under the sibling that
+        // starts at the same cursor: the next library's build, and
+        // after the last one the links that start there.
+        "  library-build",
+        "    placement",
+        "  library-build",
+        "    image-cache probe: miss",
+        "    placement",
+        "  library-build",
+        "    image-cache probe: miss",
+        "    placement",
+        "  library-build",
+        "    image-cache probe: miss",
+        "    placement",
+        // The links, run off the timeline, are laid out over the lanes.
         "  link [w1]",
         "  link [w2]",
         "  link [w3]",
+        "    image-cache probe: miss",
         "  link [w1]",
         // Program: probe (twice: flight double-check), link, frame.
         "  image-cache probe: miss",
@@ -330,7 +339,7 @@ fn parallel_siblings_render_sorted_by_start_then_worker() {
     ]);
     assert_eq!(
         normalized, expected,
-        "snapshot of the parallel span tree (timings stripped):\n{tree}"
+        "snapshot of the lane-scheduled span tree (timings stripped):\n{tree}"
     );
 }
 
